@@ -39,14 +39,14 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use cas_offinder::kernels::specialize::specialized_model;
 use cas_offinder::kernels::{ComparerKernel, VariantKind, GUIDE_BLOCK};
-use cas_offinder::pipeline::chunk::twobit_compare_safe;
+use cas_offinder::pipeline::chunk::ComparerRoute;
 use cas_offinder::{Api, OptLevel};
 use gpu_sim::isa::compile_program;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{DeviceSpec, NdRange};
 
 use crate::batcher::{BatchKey, ChunkBatch};
-use crate::cache::{ChunkPayload, EncodedChunk};
+use crate::cache::EncodedChunk;
 use crate::calibrate::{kernel_rates, ClassRates, KernelRates};
 use crate::candidates::{CandidateCache, CandidateKey};
 use crate::results::{fnv1a64, FNV_OFFSET};
@@ -219,11 +219,11 @@ impl BatchCost {
     /// `pattern` over `chunk` — what plan predictions price without
     /// materializing a [`ChunkBatch`].
     pub fn from_parts(pattern: &[u8], chunk: &EncodedChunk, jobs: usize, token: u64) -> Self {
-        let class = match &chunk.payload {
-            ChunkPayload::Packed(p) if twobit_compare_safe(p) => PayloadClass::Packed2Bit,
-            ChunkPayload::Packed(_) => PayloadClass::PackedChar,
-            ChunkPayload::Nibble(_) => PayloadClass::Nibble4Bit,
-            ChunkPayload::Raw(_) => PayloadClass::Raw,
+        let class = match chunk.payload.route() {
+            ComparerRoute::TwoBit => PayloadClass::Packed2Bit,
+            ComparerRoute::DecodedChar => PayloadClass::PackedChar,
+            ComparerRoute::FourBit => PayloadClass::Nibble4Bit,
+            ComparerRoute::Char => PayloadClass::Raw,
         };
         BatchCost {
             scan_len: chunk.scan_len,
