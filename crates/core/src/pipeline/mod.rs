@@ -37,9 +37,10 @@ pub struct PipelineConfig {
     /// Number of device-resident chunk payloads a chunk runner keeps alive
     /// between calls. With 1 slot a runner can only reuse the chunk it ran
     /// last; a serving layer that revisits chunks out of order wants a
-    /// budget matching its working set. Residency only pays off through the
-    /// `run_*_resident` entry points of the chunk runners — the serial
-    /// pipelines stream chunks exactly once and are unaffected.
+    /// budget matching its working set. Each payload form (raw, 2-bit,
+    /// 4-bit) gets this many slots. Residency only pays off for runs that
+    /// carry a residency token — the serial pipelines stream chunks exactly
+    /// once and are unaffected.
     pub resident_slots: usize,
     /// Prefer JIT-specialized per-(pattern, threshold) kernel variants over
     /// the generic kernels in the chunk runners
