@@ -17,6 +17,15 @@ pub mod experiments;
 pub mod microbench;
 pub mod paper;
 
+/// The `repro` binary's subcommands, `|`-separated: the one list its
+/// argument check, usage line and module doc are built from.
+#[macro_export]
+macro_rules! repro_subcommands {
+    () => {
+        "all|table1|table8|table9|table10|fig2|shares|ablations|summary|disasm"
+    };
+}
+
 use std::collections::HashMap;
 use std::fmt;
 

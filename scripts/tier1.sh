@@ -15,6 +15,9 @@ cargo test -q --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench: build against the public chunk-runner API + its tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== smoke: repro table1 =="
 cargo run --release -p casoff-bench --bin repro -- table1
 
