@@ -25,7 +25,7 @@ fn bench_finder(c: &mut Criterion) {
             .alloc_constant_from_slice(pattern.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, len).unwrap();
-        let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, len, len, &pattern);
+        let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, len, len, pattern.plen());
         let nd = NdRange::linear_cover(len, 256);
 
         let report = device.launch(&kernel, nd).unwrap();

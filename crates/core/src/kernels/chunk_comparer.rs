@@ -73,6 +73,11 @@ pub enum PatternForm {
     FusedFolded,
 }
 
+impl PatternForm {
+    /// All forms, in kernel-table order.
+    pub const ALL: [PatternForm; 4] = [Self::Staged, Self::Folded, Self::Fused, Self::FusedFolded];
+}
+
 /// Profiler names, by [`PatternForm`] then [`Encoding`].
 const NAMES: [[&str; 3]; 4] = [
     ["comparer", "comparer-2bit", "comparer-4bit"],

@@ -7,7 +7,7 @@
 //! argument sizes.
 
 use gpu_sim::executor::LaunchReport;
-use gpu_sim::kernel::{KernelProgram, LocalLayout};
+use gpu_sim::kernel::KernelProgram;
 use gpu_sim::{Device, NdRange, SimResult};
 
 use opencl_rt::{BoundKernel, ClError, ClKernelFunction, ClResult, KernelArg};
@@ -19,10 +19,9 @@ use super::chunk_comparer::{
     StagedPattern,
 };
 use super::comparer::ComparerOutput;
-use super::finder::{FinderKernel, FinderOutput, PackedFinderKernel};
-use super::fourbit::NibbleFinderKernel;
+use super::finder::{finder_name, FinderLaunch, FinderOutput, Pam, PayloadBuffers, PayloadForm};
 use super::multi::{GuideBlock, GuideThresholds};
-use super::specialize::{CompiledVariant, SpecializedNibbleFinderKernel, VariantKind};
+use super::specialize::CompiledVariant;
 use super::OptLevel;
 
 struct Bound<K: KernelProgram>(K);
@@ -33,7 +32,7 @@ impl<K: KernelProgram> BoundKernel for Bound<K> {
     }
 }
 
-/// Boxes whatever kernel a [`ComparerLaunch`] builds as a bound kernel.
+/// Boxes whatever kernel a launch builds as a bound kernel.
 struct BindSink;
 
 impl KernelSink for BindSink {
@@ -68,36 +67,6 @@ impl Args<'_> {
             });
         }
         Ok(())
-    }
-
-    /// The plain finder's arguments (Table VI), from `chr` on.
-    fn finder(&mut self) -> ClResult<FinderKernel> {
-        let chr = self.take(KernelArg::as_buf_u8)?;
-        let pat = self.take(KernelArg::as_buf_u8)?;
-        let pat_index = self.take(KernelArg::as_buf_i32)?;
-        let out = FinderOutput {
-            loci: self.take(KernelArg::as_buf_u32)?,
-            flags: self.take(KernelArg::as_buf_u8)?,
-            count: self.take(KernelArg::as_buf_u32)?,
-        };
-        let scan_len = self.take(KernelArg::as_u32)?;
-        let seq_len = self.take(KernelArg::as_u32)?;
-        let plen = self.take(KernelArg::as_u32)?;
-        let span = 2 * plen as usize;
-        self.local(span)?;
-        self.local(4 * span)?;
-        let mut layout = LocalLayout::new();
-        Ok(FinderKernel {
-            chr,
-            pat,
-            pat_index,
-            out,
-            scan_len,
-            seq_len,
-            plen,
-            l_pat: layout.array::<u8>(span),
-            l_pat_index: layout.array::<i32>(span),
-        })
     }
 
     fn outputs(&mut self) -> ClResult<ComparerOutput> {
@@ -139,57 +108,13 @@ impl ClKernelFunction for ClFinder {
         11
     }
 
+    /// Table VI's list is the raw layout of [`ClChunkFinder`].
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(Args { args, next: 0 }.finder()?)))
-    }
-}
-
-/// The `finder_packed` kernel as an OpenCL kernel function: the finder over
-/// a losslessly 2-bit packed chunk (see
-/// [`PackedFinderKernel`](crate::kernels::PackedFinderKernel)).
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `packed` | buffer\<u8\> |
-/// | 1 | `mask` | buffer\<u8\> |
-/// | 2 | `exc_pos` | buffer\<u32\> |
-/// | 3 | `exc_val` | buffer\<u8\> |
-/// | 4 | `n_exc` | u32 |
-/// | 5 | `chr` (out: decoded bases) | buffer\<u8\> |
-/// | 6 | `pat` | buffer\<u8\> (`__constant`) |
-/// | 7 | `pat_index` | buffer\<i32\> (`__constant`) |
-/// | 8 | `loci` (out) | buffer\<u32\> |
-/// | 9 | `flags` (out) | buffer\<u8\> |
-/// | 10 | `count` (out) | buffer\<u32\> |
-/// | 11 | `scan_len` | u32 |
-/// | 12 | `seq_len` | u32 |
-/// | 13 | `patternlen` | u32 |
-/// | 14 | `l_pat` | `__local` 2·plen bytes |
-/// | 15 | `l_pat_index` | `__local` 8·plen bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClPackedFinder;
-
-impl ClKernelFunction for ClPackedFinder {
-    fn name(&self) -> &str {
-        "finder_packed"
-    }
-
-    fn arity(&self) -> usize {
-        16
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        let mut a = Args { args, next: 0 };
-        Ok(Box::new(Bound(PackedFinderKernel {
-            packed: a.take(KernelArg::as_buf_u8)?,
-            mask: a.take(KernelArg::as_buf_u8)?,
-            exc_pos: a.take(KernelArg::as_buf_u32)?,
-            exc_val: a.take(KernelArg::as_buf_u8)?,
-            n_exc: a.take(KernelArg::as_u32)?,
-            inner: a.finder()?,
-        })))
+        let f = ClChunkFinder {
+            form: PayloadForm::Raw,
+            pam: None,
+        };
+        f.bind(args)
     }
 }
 
@@ -247,89 +172,140 @@ impl ClKernelFunction for ClComparer {
     }
 }
 
-/// The `finder_nibble` kernel as an OpenCL kernel function: the finder over
-/// a 4-bit nibble-packed chunk (see
-/// [`NibbleFinderKernel`](crate::kernels::NibbleFinderKernel)). No exception
-/// arguments: the nibble masks are exact for matching.
+/// The serving finder ([`FinderLaunch`]) as an OpenCL kernel function, for
+/// one payload form, with the PAM staged (`pam: None`) or folded into a
+/// nibble-finder variant. It binds under the launch's [`finder_name`].
 ///
-/// Argument layout:
+/// Argument layout — the payload's buffers lead (`chr`; `packed`, `mask`,
+/// `exc_pos`, `exc_val` and the u32 `n_exc`; or `nibbles`), then, with
+/// bracketed groups present only in the forms that have them:
 ///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `nibbles` | buffer\<u8\> |
-/// | 1 | `chr` (out: decoded bases) | buffer\<u8\> |
-/// | 2 | `pat` | buffer\<u8\> (`__constant`) |
-/// | 3 | `pat_index` | buffer\<i32\> (`__constant`) |
-/// | 4 | `loci` (out) | buffer\<u32\> |
-/// | 5 | `flags` (out) | buffer\<u8\> |
-/// | 6 | `count` (out) | buffer\<u32\> |
-/// | 7 | `scan_len` | u32 |
-/// | 8 | `seq_len` | u32 |
-/// | 9 | `patternlen` | u32 |
-/// | 10 | `l_pat` | `__local` 2·plen bytes |
-/// | 11 | `l_pat_index` | `__local` 8·plen bytes |
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClNibbleFinder;
+/// | argument | type | forms |
+/// |----------|------|-------|
+/// | `chr` (out: decoded bases) | buffer\<u8\> | packed, staged nibble |
+/// | `pat`, `pat_index` | buffer\<u8\>, buffer\<i32\> (`__constant`) | staged |
+/// | `loci`, `flags`, `count` (out) | u32, u8, u32 buffers | all |
+/// | `scan_len`, `seq_len` | u32 | all |
+/// | `patternlen` | u32 | staged |
+/// | `l_pat`, `l_pat_index` | `__local` 2·plen, 8·plen bytes | staged |
+///
+/// The raw form is the paper's finder; its layout is Table VI's, so
+/// [`ClFinder`] binds the same list. [`finder_args`] writes it.
+#[derive(Debug, Clone)]
+pub struct ClChunkFinder {
+    /// The payload form scanned.
+    pub form: PayloadForm,
+    /// The folded PAM variant (nibbles only), or `None` for staged tables.
+    pub pam: Option<Arc<CompiledVariant>>,
+}
 
-impl ClKernelFunction for ClNibbleFinder {
+impl ClKernelFunction for ClChunkFinder {
     fn name(&self) -> &str {
-        "finder_nibble"
+        finder_name(self.form, self.pam.is_some())
     }
 
+    /// The payload's arguments, the decode target, then 10 staged or 5
+    /// folded arguments.
     fn arity(&self) -> usize {
-        12
+        let folded = self.pam.is_some();
+        let payload = [1, 5, 1][self.form as usize];
+        payload + usize::from(self.form.decodes(folded)) + if folded { 5 } else { 10 }
     }
 
     fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
         let mut a = Args { args, next: 0 };
-        Ok(Box::new(Bound(NibbleFinderKernel {
-            nibbles: a.take(KernelArg::as_buf_u8)?,
-            inner: a.finder()?,
-        })))
-    }
-}
-
-/// The specialized nibble finder as an OpenCL kernel function: scans the
-/// nibble words directly, no decode scratch, no pattern arguments.
-///
-/// Argument layout:
-///
-/// | # | argument | type |
-/// |---|----------|------|
-/// | 0 | `nibbles` | buffer\<u8\> |
-/// | 1 | `loci` (out) | buffer\<u32\> |
-/// | 2 | `flags` (out) | buffer\<u8\> |
-/// | 3 | `count` (out) | buffer\<u32\> |
-/// | 4 | `scan_len` | u32 |
-/// | 5 | `seq_len` | u32 |
-#[derive(Debug, Clone)]
-pub struct ClSpecializedNibbleFinder {
-    /// The compiled PAM variant (threshold 0) this function embodies.
-    pub variant: Arc<CompiledVariant>,
-}
-
-impl ClKernelFunction for ClSpecializedNibbleFinder {
-    fn name(&self) -> &str {
-        VariantKind::NibbleFinder.kernel_name()
-    }
-
-    fn arity(&self) -> usize {
-        6
-    }
-
-    fn bind(&self, args: &[KernelArg]) -> ClResult<Box<dyn BoundKernel>> {
-        Ok(Box::new(Bound(SpecializedNibbleFinderKernel {
-            nibbles: args[0].as_buf_u8(0)?,
-            out: FinderOutput {
-                loci: args[1].as_buf_u32(1)?,
-                flags: args[2].as_buf_u8(2)?,
-                count: args[3].as_buf_u32(3)?,
+        let (payload, exceptions) = match self.form {
+            PayloadForm::Raw => (PayloadBuffers::Raw(a.take(KernelArg::as_buf_u8)?), 0),
+            PayloadForm::Packed => (
+                PayloadBuffers::Packed {
+                    words: a.take(KernelArg::as_buf_u8)?,
+                    mask: a.take(KernelArg::as_buf_u8)?,
+                    exc_pos: a.take(KernelArg::as_buf_u32)?,
+                    exc_val: a.take(KernelArg::as_buf_u8)?,
+                },
+                a.take(KernelArg::as_u32)?,
+            ),
+            PayloadForm::Nibble => (PayloadBuffers::Nibble(a.take(KernelArg::as_buf_u8)?), 0),
+        };
+        let decoded = self
+            .form
+            .decodes(self.pam.is_some())
+            .then(|| a.take(KernelArg::as_buf_u8))
+            .transpose()?;
+        let mut pam = match &self.pam {
+            Some(variant) => Pam::Folded(Arc::clone(variant)),
+            None => Pam::Staged {
+                pat: a.take(KernelArg::as_buf_u8)?,
+                pat_index: a.take(KernelArg::as_buf_i32)?,
+                plen: 0,
             },
-            scan_len: args[4].as_u32(4)?,
-            seq_len: args[5].as_u32(5)?,
-            variant: Arc::clone(&self.variant),
-        })))
+        };
+        let out = FinderOutput {
+            loci: a.take(KernelArg::as_buf_u32)?,
+            flags: a.take(KernelArg::as_buf_u8)?,
+            count: a.take(KernelArg::as_buf_u32)?,
+        };
+        let scan_len = a.take(KernelArg::as_u32)?;
+        let seq_len = a.take(KernelArg::as_u32)?;
+        if let Pam::Staged { plen, .. } = &mut pam {
+            *plen = a.take(KernelArg::as_u32)? as usize;
+            a.local(2 * *plen)?;
+            a.local(8 * *plen)?;
+        }
+        let launch = FinderLaunch {
+            payload,
+            exceptions,
+            decoded,
+            pam,
+            out,
+            scan_len,
+            seq_len,
+        };
+        Ok(launch.build(BindSink))
     }
+}
+
+/// The argument list a [`ClChunkFinder`] binds for `launch`, in order (for
+/// raw bases, also [`ClFinder`]'s).
+pub fn finder_args(launch: &FinderLaunch) -> Vec<KernelArg> {
+    let mut args = match &launch.payload {
+        PayloadBuffers::Raw(b) | PayloadBuffers::Nibble(b) => vec![KernelArg::BufU8(b.clone())],
+        PayloadBuffers::Packed {
+            words,
+            mask,
+            exc_pos,
+            exc_val,
+        } => vec![
+            KernelArg::BufU8(words.clone()),
+            KernelArg::BufU8(mask.clone()),
+            KernelArg::BufU32(exc_pos.clone()),
+            KernelArg::BufU8(exc_val.clone()),
+            KernelArg::U32(launch.exceptions),
+        ],
+    };
+    args.extend(launch.decoded.iter().map(|b| KernelArg::BufU8(b.clone())));
+    if let Pam::Staged { pat, pat_index, .. } = &launch.pam {
+        args.extend([
+            KernelArg::BufU8(pat.clone()),
+            KernelArg::BufI32(pat_index.clone()),
+        ]);
+    }
+    let out = &launch.out;
+    args.extend([
+        KernelArg::BufU32(out.loci.clone()),
+        KernelArg::BufU8(out.flags.clone()),
+        KernelArg::BufU32(out.count.clone()),
+        KernelArg::U32(launch.scan_len),
+        KernelArg::U32(launch.seq_len),
+    ]);
+    if let Pam::Staged { plen, .. } = launch.pam {
+        args.extend([
+            KernelArg::U32(plen as u32),
+            KernelArg::Local { bytes: 2 * plen },
+            KernelArg::Local { bytes: 8 * plen },
+        ]);
+    }
+    args
 }
 
 /// The pattern form a [`ClChunkComparer`] binds; folded forms carry their
@@ -556,6 +532,7 @@ pub fn comparer_args(launch: &ComparerLaunch) -> Vec<KernelArg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::VariantKind;
     use gpu_sim::DeviceSpec;
 
     fn device() -> Device {
@@ -622,14 +599,31 @@ mod tests {
         ClPattern::Block(GuideThresholds::PerGuide(()))
     }
 
+    fn nibble_variant() -> Arc<CompiledVariant> {
+        let pam = crate::pattern::CompiledSeq::compile(b"NGG");
+        Arc::new(CompiledVariant::compile(VariantKind::NibbleFinder, &pam, 0))
+    }
+
     #[test]
     fn arities_match_the_kernel_signatures() {
         assert_eq!(ClFinder.arity(), 11);
         assert_eq!(ClComparer::default().arity(), 14);
-        assert_eq!(ClNibbleFinder.arity(), 12);
         assert_eq!(ClFinder.name(), "finder");
         assert_eq!(ClComparer::default().name(), "comparer");
-        assert_eq!(ClNibbleFinder.name(), "finder_nibble");
+        for (form, pam, arity, name) in [
+            (PayloadForm::Raw, None, 11, "finder"),
+            (PayloadForm::Packed, None, 16, "finder_packed"),
+            (PayloadForm::Nibble, None, 12, "finder_nibble"),
+            (
+                PayloadForm::Nibble,
+                Some(nibble_variant()),
+                6,
+                "finder_nibble-spec",
+            ),
+        ] {
+            let f = ClChunkFinder { form, pam };
+            assert_eq!((f.arity(), f.name()), (arity, name));
+        }
         let variant = Arc::new(CompiledVariant::compile(
             VariantKind::MultiComparer,
             &crate::pattern::CompiledSeq::compile(b"NGG"),
@@ -663,6 +657,76 @@ mod tests {
         ] {
             let f = comparer(encoding, pattern);
             assert_eq!((f.arity(), f.name()), (arity, name));
+        }
+    }
+
+    /// A finder launch over 16 bases of `form`, with the PAM staged or
+    /// folded into `variant`.
+    fn finder_launch(
+        d: &Device,
+        form: PayloadForm,
+        variant: Option<Arc<CompiledVariant>>,
+    ) -> FinderLaunch {
+        let plen = 3;
+        let payload = match form {
+            PayloadForm::Raw => PayloadBuffers::Raw(d.alloc_from_slice(&[b'A'; 16]).unwrap()),
+            PayloadForm::Packed => PayloadBuffers::Packed {
+                words: d.alloc(4).unwrap(),
+                mask: d.alloc(2).unwrap(),
+                exc_pos: d.alloc(1).unwrap(),
+                exc_val: d.alloc(1).unwrap(),
+            },
+            PayloadForm::Nibble => PayloadBuffers::Nibble(d.alloc(8).unwrap()),
+        };
+        let pam = match variant {
+            Some(variant) => Pam::Folded(variant),
+            None => Pam::Staged {
+                pat: d.alloc(2 * plen).unwrap(),
+                pat_index: d.alloc_from_slice(&[-1; 6]).unwrap(),
+                plen,
+            },
+        };
+        FinderLaunch {
+            decoded: form
+                .decodes(matches!(pam, Pam::Folded(_)))
+                .then(|| d.alloc(16).unwrap()),
+            payload,
+            exceptions: 0,
+            pam,
+            out: FinderOutput::allocate(d, 16).unwrap(),
+            scan_len: 14,
+            seq_len: 16,
+        }
+    }
+
+    #[test]
+    fn finder_args_bind_back_for_every_form_and_pam() {
+        let d = device();
+        for (form, pam) in [
+            (PayloadForm::Raw, None),
+            (PayloadForm::Packed, None),
+            (PayloadForm::Nibble, None),
+            (PayloadForm::Nibble, Some(nibble_variant())),
+        ] {
+            let f = ClChunkFinder { form, pam };
+            let args = finder_args(&finder_launch(&d, form, f.pam.clone()));
+            assert_eq!(args.len(), f.arity(), "{}", f.name());
+            let report = f
+                .bind(&args)
+                .unwrap()
+                .launch(&d, NdRange::linear_cover(14, 64))
+                .unwrap();
+            assert_eq!(report.kernel, f.name());
+            if form == PayloadForm::Raw {
+                assert!(ClFinder.bind(&args).is_ok(), "Table VI's list");
+            }
+            if form.decodes(f.pam.is_some()) {
+                let mut bad = args.clone();
+                let last = bad.len() - 1;
+                bad[last] = KernelArg::Local { bytes: 1 };
+                let err = f.bind(&bad).map(|_| ()).unwrap_err();
+                assert!(matches!(err, ClError::InvalidArgValue { index, .. } if index == last));
+            }
         }
     }
 

@@ -13,14 +13,31 @@
 //! cached-load path of the simulator, which is what keeps the finder at a
 //! few percent of total kernel time while the comparer's scattered reads
 //! dominate (the paper measures the comparer at ~98%).
+//!
+//! The serving layer uploads chunks in three [`PayloadForm`]s. Raw bases
+//! run the paper's [`FinderKernel`] as is; a packed payload runs it behind
+//! a [`DecodingFinder`], whose [`WindowDecoder`] — the 2-bit words plus an
+//! exception patch phase ([`super::PackedDecoder`]), or the nibbles
+//! ([`super::NibbleDecoder`]) — first decodes each group's window into the
+//! `chr` scratch. With the PAM folded into a variant, nibbles run the
+//! single-phase [`SpecializedNibbleFinderKernel`] instead. Hosts describe
+//! every finder launch as one [`FinderLaunch`] — payload buffers, decode
+//! target, [`Pam`] source and outputs — and hand it a [`KernelSink`], the
+//! same way they build a comparer launch.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use gpu_sim::isa::{CodeModel, Staging};
 use gpu_sim::kernel::{KernelProgram, LocalHandle, LocalLayout, LocalMem};
-use gpu_sim::{Device, DeviceBuffer, ItemCtx, NdRange, SimResult};
+use gpu_sim::{Device, DeviceBuffer, ItemCtx, SimResult};
 
 use genome::base::is_mismatch;
 
-use crate::pattern::CompiledSeq;
+use super::chunk_comparer::{ChunkBuffers, KernelSink};
+use super::fourbit::NibbleDecoder;
+use super::specialize::{CompiledVariant, SpecializedNibbleFinderKernel};
+use super::twobit::PackedDecoder;
 
 /// Flag value: the PAM matched on both strands (Listing 1's `flag` array).
 pub const FLAG_BOTH: u8 = 0;
@@ -85,7 +102,8 @@ pub struct FinderKernel {
 }
 
 impl FinderKernel {
-    /// Build the kernel and its local layout for `pattern` over a chunk.
+    /// Build the kernel and its local layout for a `plen`-long pattern over
+    /// a chunk.
     pub fn new(
         chr: DeviceBuffer<u8>,
         pat: DeviceBuffer<u8>,
@@ -93,11 +111,11 @@ impl FinderKernel {
         out: FinderOutput,
         scan_len: usize,
         seq_len: usize,
-        pattern: &CompiledSeq,
+        plen: usize,
     ) -> (FinderKernel, LocalLayout) {
         let mut layout = LocalLayout::new();
-        let l_pat = layout.array::<u8>(2 * pattern.plen());
-        let l_pat_index = layout.array::<i32>(2 * pattern.plen());
+        let l_pat = layout.array::<u8>(2 * plen);
+        let l_pat_index = layout.array::<i32>(2 * plen);
         (
             FinderKernel {
                 chr,
@@ -106,7 +124,7 @@ impl FinderKernel {
                 out,
                 scan_len: scan_len as u32,
                 seq_len: seq_len as u32,
-                plen: pattern.plen() as u32,
+                plen: plen as u32,
                 l_pat,
                 l_pat_index,
             },
@@ -146,7 +164,7 @@ impl KernelProgram for FinderKernel {
     type Private = ();
 
     fn name(&self) -> &str {
-        "finder"
+        FINDER_NAMES[0]
     }
 
     fn phases(&self) -> usize {
@@ -161,15 +179,7 @@ impl KernelProgram for FinderKernel {
     }
 
     fn code_model(&self) -> CodeModel {
-        CodeModel::new("finder")
-            .pointer_args(6)
-            .scalar_args(3)
-            .noalias(true)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(2)
-            .ladder_arms(13)
-            .atomic_output(true)
+        finder_model(FINDER_NAMES[0], [0; 4])
     }
 
     fn run_phase(&self, phase: usize, item: &mut ItemCtx, _p: &mut (), local: &mut LocalMem) {
@@ -211,52 +221,54 @@ impl KernelProgram for FinderKernel {
     }
 }
 
-/// The finder kernel over a 2-bit packed chunk.
-///
-/// Identical to [`FinderKernel`] except that the chunk arrives on the device
-/// in the lossless packed form of [`genome::twobit::PackedSeq`] — ~4x fewer
-/// upload bytes — and the kernel decodes it into the `chr` buffer before
-/// scanning, so the comparer (which reads `chr` as plain bases) runs
-/// unchanged and results stay byte-identical to the unpacked path.
-///
-/// Phase layout:
-///
-/// 0. each work-group decodes its own read window (`group span + plen`
-///    overlap) from the packed/mask arrays into `chr` — fully coalesced
-///    streaming stores;
-/// 1. the group applies the (rare) exception bytes that land in its window —
-///    a separate phase so the barrier orders them after the decode stores;
-/// 2. cooperative pattern staging (the plain finder's phase 0);
-/// 3. scan (the plain finder's phase 1).
-///
-/// Overlapping window positions are written by two adjacent groups, but both
-/// write the same decoded value and both re-apply the same exceptions after
-/// their own decode, so the result is order-independent.
-#[derive(Debug, Clone)]
-pub struct PackedFinderKernel {
-    /// The plain finder this kernel decodes into and then runs.
-    pub inner: FinderKernel,
-    /// Packed base bytes (4 bases per byte, LSB first).
-    pub packed: DeviceBuffer<u8>,
-    /// Ambiguity mask bytes (8 bases per byte, LSB first).
-    pub mask: DeviceBuffer<u8>,
-    /// Exception positions (sorted ascending), `n_exc` entries used.
-    pub exc_pos: DeviceBuffer<u32>,
-    /// Exception bytes, parallel to `exc_pos`.
-    pub exc_val: DeviceBuffer<u8>,
-    /// Number of valid exception entries.
-    pub n_exc: u32,
+/// How a [`DecodingFinder`] turns its payload into the bases the paper's
+/// finder scans.
+pub trait WindowDecoder: Clone + Send + Sync + 'static {
+    /// The payload form decoded; it names the kernel.
+    const FORM: PayloadForm;
+    /// Phases before the finder's: the decode, then any patch phase.
+    const PHASES: usize;
+    /// Pointer and scalar arguments, guarded blocks and decode VALU the
+    /// decoder adds to the finder's code model.
+    const MODEL: [u32; 4];
+
+    /// The base at `k`, with its loads and ops charged.
+    fn decode(&self, item: &mut ItemCtx, k: usize) -> u8;
+
+    /// The phase after the decode: patch the group's `window` of `chr`.
+    fn patch(&self, _item: &mut ItemCtx, _chr: &DeviceBuffer<u8>, _window: Range<usize>) {}
 }
 
-impl KernelProgram for PackedFinderKernel {
+/// The finder over a packed payload: each work-group decodes its own read
+/// window (`group span + plen` overlap) into the `chr` scratch with
+/// coalesced loads and stores, lets the decoder patch it, then runs the
+/// paper's [`FinderKernel`] phases unchanged — so the comparer can read
+/// `chr` as plain bases. Adjacent groups write overlapping positions with
+/// the same decoded and patched values, so the result is order-independent.
+#[derive(Debug, Clone)]
+pub struct DecodingFinder<D> {
+    /// The plain finder this kernel decodes into and then runs.
+    pub inner: FinderKernel,
+    /// The payload and its decode rule.
+    pub decoder: D,
+}
+
+impl<D: WindowDecoder> DecodingFinder<D> {
+    /// The code model the kernel is priced with.
+    pub fn model() -> CodeModel {
+        finder_model(finder_name(D::FORM, false), D::MODEL)
+    }
+}
+
+impl<D: WindowDecoder> KernelProgram for DecodingFinder<D> {
     type Private = ();
 
     fn name(&self) -> &str {
-        "finder_packed"
+        finder_name(D::FORM, false)
     }
 
     fn phases(&self) -> usize {
-        4
+        D::PHASES + 2
     }
 
     fn local_layout(&self) -> LocalLayout {
@@ -264,86 +276,259 @@ impl KernelProgram for PackedFinderKernel {
     }
 
     fn code_model(&self) -> CodeModel {
-        CodeModel::new("finder_packed")
-            .pointer_args(10)
-            .scalar_args(4)
-            .noalias(true)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(3)
-            .ladder_arms(13)
-            .atomic_output(true)
-            .extra_valu(16)
+        Self::model()
     }
 
     fn run_phase(&self, phase: usize, item: &mut ItemCtx, p: &mut (), local: &mut LocalMem) {
-        use genome::twobit::code_to_char;
-        let plen = self.inner.plen as usize;
-        let seq_len = self.inner.seq_len as usize;
-        let li = item.local_id(0);
+        if phase >= D::PHASES {
+            return self.inner.run_phase(phase - D::PHASES, item, p, local);
+        }
         let group = item.local_range(0);
         let start = item.group(0) * group;
-        let end = (start + group + plen).min(seq_len);
-        match phase {
-            0 => {
-                // Strided decode of the group's read window: lane-adjacent
-                // packed/mask reads and chr writes, all coalesced.
-                let mut k = start + li;
-                while k < end {
-                    let byte = self.packed.load_coalesced(item, k / 4);
-                    let mbyte = self.mask.load_coalesced(item, k / 8);
-                    item.ops(4); // shifts, mask test, select
-                    let c = if (mbyte >> (k % 8)) & 1 == 1 {
-                        b'N'
-                    } else {
-                        code_to_char(byte >> ((k % 4) * 2))
-                    };
-                    self.inner.chr.store_coalesced(item, k, c);
-                    k += group;
-                }
-            }
-            1 => {
-                // Cooperative pass over the exception list (degenerate IUPAC
-                // codes and case oddities — empty for plain ACGT/N genomes):
-                // each group applies the entries inside its own window.
-                let n = self.n_exc as usize;
-                let mut e = li;
-                while e < n {
-                    let pos = self.exc_pos.load_coalesced(item, e) as usize;
-                    item.ops(2); // window test
-                    if pos >= start && pos < end {
-                        let v = self.exc_val.load_coalesced(item, e);
-                        self.inner.chr.store(item, pos, v); // scattered, rare
-                    }
-                    e += group;
-                }
-            }
-            _ => self.inner.run_phase(phase - 2, item, p, local),
+        let end = (start + group + self.inner.plen as usize).min(self.inner.seq_len as usize);
+        if phase > 0 {
+            return self.decoder.patch(item, &self.inner.chr, start..end);
+        }
+        // Strided decode: lane-adjacent reads and `chr` writes.
+        let mut k = start + item.local_id(0);
+        while k < end {
+            let c = self.decoder.decode(item, k);
+            self.inner.chr.store_coalesced(item, k, c);
+            k += group;
         }
     }
 }
 
-/// Convenience: run the finder over a chunk already resident on `device`.
-///
-/// Returns the number of matches.
-///
-/// # Errors
-///
-/// Propagates launch failures.
-pub fn run_finder(
-    device: &Device,
-    kernel: &FinderKernel,
-    work_group_size: usize,
-) -> SimResult<usize> {
-    let nd = NdRange::linear_cover(kernel.scan_len as usize, work_group_size);
-    device.launch(kernel, nd)?;
-    Ok(kernel.out.count_matches())
+/// The finder's code model plus a decoder's [`WindowDecoder::MODEL`].
+fn finder_model(name: &str, [ptrs, scalars, guards, valu]: [u32; 4]) -> CodeModel {
+    CodeModel::new(name)
+        .pointer_args(6 + ptrs)
+        .scalar_args(3 + scalars)
+        .noalias(true)
+        .staging(Staging::Parallel)
+        .staged_arrays(2)
+        .guarded_blocks(2 + guards)
+        .ladder_arms(13)
+        .atomic_output(true)
+        .extra_valu(valu)
+}
+
+/// The form a chunk payload takes on the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PayloadForm {
+    /// One byte per base.
+    Raw,
+    /// 2-bit words, an ambiguity mask and an exception list.
+    Packed,
+    /// 4-bit IUPAC possibility masks.
+    Nibble,
+}
+
+impl PayloadForm {
+    /// All forms, in kernel-table order.
+    pub const ALL: [PayloadForm; 3] = [PayloadForm::Raw, PayloadForm::Packed, PayloadForm::Nibble];
+
+    /// Whether a finder over this form decodes into a target before it
+    /// scans: every packed form, unless the PAM is folded (the folded
+    /// nibble finder scans the nibbles directly).
+    pub fn decodes(self, folded: bool) -> bool {
+        self != PayloadForm::Raw && !folded
+    }
+}
+
+/// Profiler names of the finders: the staged finder per [`PayloadForm`],
+/// then the PAM-folded nibble finder.
+pub const FINDER_NAMES: [&str; 4] = [
+    "finder",
+    "finder_packed",
+    "finder_nibble",
+    "finder_nibble-spec",
+];
+
+/// The name a finder over `form` reports to the profiler (and binds under
+/// in an OpenCL program); `folded` names the PAM-folded nibble finder, the
+/// only form that folds.
+pub fn finder_name(form: PayloadForm, folded: bool) -> &'static str {
+    FINDER_NAMES[if folded { 3 } else { form as usize }]
+}
+
+/// Device buffers holding one uploaded chunk payload, generic over the
+/// host API's buffer types.
+#[derive(Debug, Clone)]
+pub enum PayloadBuffers<B8 = DeviceBuffer<u8>, B32 = DeviceBuffer<u32>> {
+    /// Raw bases.
+    Raw(B8),
+    /// 2-bit words, the ambiguity mask and the exception list.
+    Packed {
+        /// 2-bit words, 4 bases per byte.
+        words: B8,
+        /// Ambiguity mask, 8 bases per byte.
+        mask: B8,
+        /// Exception positions, ascending.
+        exc_pos: B32,
+        /// Exception bytes, parallel to `exc_pos`.
+        exc_val: B8,
+    },
+    /// Nibble words, 2 bases per byte.
+    Nibble(B8),
+}
+
+impl<B8, B32> PayloadBuffers<B8, B32> {
+    /// Bind every buffer through `f8` or `f32` with `cx`, in argument
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first binding failure.
+    pub fn bind<C, D8, D32, E>(
+        &self,
+        cx: &mut C,
+        f8: impl Fn(&mut C, &B8) -> Result<D8, E>,
+        f32: impl Fn(&mut C, &B32) -> Result<D32, E>,
+    ) -> Result<PayloadBuffers<D8, D32>, E> {
+        Ok(match self {
+            PayloadBuffers::Raw(b) => PayloadBuffers::Raw(f8(cx, b)?),
+            PayloadBuffers::Packed {
+                words,
+                mask,
+                exc_pos,
+                exc_val,
+            } => PayloadBuffers::Packed {
+                words: f8(cx, words)?,
+                mask: f8(cx, mask)?,
+                exc_pos: f32(cx, exc_pos)?,
+                exc_val: f8(cx, exc_val)?,
+            },
+            PayloadBuffers::Nibble(b) => PayloadBuffers::Nibble(f8(cx, b)?),
+        })
+    }
+
+    /// The buffers a comparer reads: `decoded`, the finder's decode
+    /// target, when the comparer reads chars decoded from a packed
+    /// payload; the payload's own buffers otherwise.
+    pub fn comparer_inputs<'a>(&'a self, decoded: Option<&'a B8>) -> ChunkBuffers<&'a B8> {
+        match (decoded, self) {
+            (Some(chr), _) => ChunkBuffers::Char(chr),
+            (None, PayloadBuffers::Raw(b)) => ChunkBuffers::Char(b),
+            (None, PayloadBuffers::Nibble(b)) => ChunkBuffers::FourBit(b),
+            (None, PayloadBuffers::Packed { words, mask, .. }) => ChunkBuffers::TwoBit {
+                packed: words,
+                mask,
+            },
+        }
+    }
+}
+
+/// The PAM side of one finder launch.
+#[derive(Debug, Clone)]
+pub enum Pam {
+    /// The PAM's `[fwd | rc]` tables, staged to local memory.
+    Staged {
+        /// Pattern bytes, `2 * plen`.
+        pat: DeviceBuffer<u8>,
+        /// Non-`N` indices per half, `-1` terminated.
+        pat_index: DeviceBuffer<i32>,
+        /// Pattern length.
+        plen: usize,
+    },
+    /// The PAM folded into a nibble-finder variant.
+    Folded(Arc<CompiledVariant>),
+}
+
+/// Everything one finder launch binds.
+#[derive(Debug, Clone)]
+pub struct FinderLaunch {
+    /// The uploaded chunk.
+    pub payload: PayloadBuffers,
+    /// Exception entries a packed payload carries (zero otherwise).
+    pub exceptions: u32,
+    /// The decode target, present exactly when
+    /// [`PayloadForm::decodes`].
+    pub decoded: Option<DeviceBuffer<u8>>,
+    /// The PAM side.
+    pub pam: Pam,
+    /// Candidate outputs.
+    pub out: FinderOutput,
+    /// Number of owned scan positions.
+    pub scan_len: u32,
+    /// Total bases available (scan positions + overlap).
+    pub seq_len: u32,
+}
+
+impl FinderLaunch {
+    /// Build the finder for this launch's payload form and PAM source and
+    /// hand it to `sink`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the decode target is present exactly when the form
+    /// [decodes](PayloadForm::decodes), or for a folded PAM on a form
+    /// other than nibbles.
+    pub fn build<S: KernelSink>(self, sink: S) -> S::Output {
+        let (pat, pat_index, plen) = match self.pam {
+            Pam::Staged {
+                pat,
+                pat_index,
+                plen,
+            } => (pat, pat_index, plen),
+            Pam::Folded(variant) => {
+                let (PayloadBuffers::Nibble(nibbles), None) = (self.payload, self.decoded) else {
+                    panic!("only the nibble finder folds its PAM, and it decodes nothing");
+                };
+                return sink.accept(SpecializedNibbleFinderKernel {
+                    nibbles,
+                    out: self.out,
+                    scan_len: self.scan_len,
+                    seq_len: self.seq_len,
+                    variant,
+                });
+            }
+        };
+        let (scan_len, seq_len) = (self.scan_len as usize, self.seq_len as usize);
+        let inner =
+            |chr| FinderKernel::new(chr, pat, pat_index, self.out, scan_len, seq_len, plen).0;
+        match (self.payload, self.decoded) {
+            (PayloadBuffers::Raw(chr), None) => sink.accept(inner(chr)),
+            (
+                PayloadBuffers::Packed {
+                    words,
+                    mask,
+                    exc_pos,
+                    exc_val,
+                },
+                Some(chr),
+            ) => sink.accept(DecodingFinder {
+                inner: inner(chr),
+                decoder: PackedDecoder {
+                    packed: words,
+                    mask,
+                    exc_pos,
+                    exc_val,
+                    n_exc: self.exceptions,
+                },
+            }),
+            (PayloadBuffers::Nibble(nibbles), Some(chr)) => sink.accept(DecodingFinder {
+                inner: inner(chr),
+                decoder: NibbleDecoder(nibbles),
+            }),
+            _ => panic!("a staged finder decodes exactly the packed payloads"),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceSpec, ExecMode};
+    use crate::pattern::CompiledSeq;
+    use gpu_sim::{DeviceSpec, ExecMode, NdRange, SimResult};
+
+    /// Run the finder over a chunk already resident on `device`; returns
+    /// the number of matches.
+    fn run_finder(device: &Device, kernel: &FinderKernel, group: usize) -> SimResult<usize> {
+        let nd = NdRange::linear_cover(kernel.scan_len as usize, group);
+        device.launch(kernel, nd)?;
+        Ok(kernel.out.count_matches())
+    }
 
     fn device() -> Device {
         Device::with_mode(DeviceSpec::mi100(), ExecMode::Sequential)
@@ -366,7 +551,7 @@ mod tests {
             out,
             scan_len,
             seq.len(),
-            &compiled,
+            compiled.plen(),
         );
         let n = run_finder(&device, &kernel, 64).unwrap();
         let loci = kernel.out.loci.to_vec();
@@ -446,7 +631,8 @@ mod tests {
             .alloc_constant_from_slice(compiled.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
-        let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, 2, seq.len(), &compiled);
+        let (kernel, _) =
+            FinderKernel::new(chr, pat, pat_index, out, 2, seq.len(), compiled.plen());
         let n = run_finder(&device, &kernel, 64).unwrap();
         let loci = &kernel.out.loci.to_vec()[..n];
         assert_eq!(loci, &[0], "position 3's TGG is outside the owned range");
@@ -464,18 +650,28 @@ mod tests {
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
         let packed = PackedSeq::encode(seq);
         let (pos, val) = packed.exception_arrays();
-        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
-        let kernel = PackedFinderKernel {
+        let (inner, _) = FinderKernel::new(
+            chr,
+            pat,
+            pat_index,
+            out,
+            seq.len(),
+            seq.len(),
+            compiled.plen(),
+        );
+        let kernel = DecodingFinder {
             inner,
-            packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
-            mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
-            exc_pos: device
-                .alloc_from_slice(if pos.is_empty() { &[0u32] } else { &pos[..] })
-                .unwrap(),
-            exc_val: device
-                .alloc_from_slice(if val.is_empty() { &[0u8] } else { &val[..] })
-                .unwrap(),
-            n_exc: pos.len() as u32,
+            decoder: PackedDecoder {
+                packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
+                mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
+                exc_pos: device
+                    .alloc_from_slice(if pos.is_empty() { &[0u32] } else { &pos[..] })
+                    .unwrap(),
+                exc_val: device
+                    .alloc_from_slice(if val.is_empty() { &[0u8] } else { &val[..] })
+                    .unwrap(),
+                n_exc: pos.len() as u32,
+            },
         };
         let nd = NdRange::linear_cover(seq.len(), 64);
         device.launch(&kernel, nd).unwrap();
@@ -497,7 +693,12 @@ mod tests {
             let plain = run(&seq, pattern);
             let (hits, decoded) = run_packed(&seq, pattern);
             assert_eq!(decoded, seq, "on-device decode must be byte-exact");
-            assert_eq!(hits, plain, "pattern {}", std::str::from_utf8(pattern).unwrap());
+            assert_eq!(
+                hits,
+                plain,
+                "pattern {}",
+                std::str::from_utf8(pattern).unwrap()
+            );
             assert!(!hits.is_empty());
         }
     }
@@ -514,16 +715,20 @@ mod tests {
             .unwrap();
         let out = FinderOutput::allocate(&device, 256).unwrap();
         let packed = genome::twobit::PackedSeq::encode(&seq);
-        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, &compiled);
-        let kernel = PackedFinderKernel {
+        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, compiled.plen());
+        let kernel = DecodingFinder {
             inner,
-            packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
-            mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
-            exc_pos: device.alloc_from_slice(&[0u32]).unwrap(),
-            exc_val: device.alloc_from_slice(&[0u8]).unwrap(),
-            n_exc: 0,
+            decoder: PackedDecoder {
+                packed: device.alloc_from_slice(packed.packed_bytes()).unwrap(),
+                mask: device.alloc_from_slice(packed.mask_bytes()).unwrap(),
+                exc_pos: device.alloc_from_slice(&[0u32]).unwrap(),
+                exc_val: device.alloc_from_slice(&[0u8]).unwrap(),
+                n_exc: 0,
+            },
         };
-        let report = device.launch(&kernel, NdRange::linear_cover(256, 64)).unwrap();
+        let report = device
+            .launch(&kernel, NdRange::linear_cover(256, 64))
+            .unwrap();
         assert!(report.counters.global_coalesced_stores >= 256);
         assert_eq!(
             report.counters.global_stores, 0,
@@ -542,7 +747,7 @@ mod tests {
             .alloc_constant_from_slice(compiled.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
-        let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, &compiled);
+        let (kernel, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, compiled.plen());
         let nd = NdRange::linear_cover(256, 64);
         let report = device.launch(&kernel, nd).unwrap();
         assert_eq!(

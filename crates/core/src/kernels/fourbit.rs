@@ -1,6 +1,6 @@
 //! The 4-bit (nibble) comparer and finder — the universal packed path.
 //!
-//! The 2-bit kernels ([`super::TwoBitReader`], [`super::finder::PackedFinderKernel`])
+//! The 2-bit kernels ([`super::TwoBitReader`], [`super::PackedDecoder`])
 //! win on concrete genomes but lean on an exception list for everything the
 //! 2-bit code can't express; a chunk dense in soft-masked or degenerate bases
 //! either bloats its upload with exceptions or falls back to the char
@@ -17,21 +17,20 @@
 //!   the 4-bit comparer: the per-base decode is one shift-and-mask, cheaper
 //!   than the 2-bit reader's packed-byte + mask-byte merge, and the match
 //!   rule is the subset test on masks.
-//! * [`NibbleFinderKernel`] — the finder over a nibble-packed chunk: each
-//!   work-group decodes its read window into the `chr` scratch (uppercase
-//!   canonical codes via [`mask_to_char`]) and then runs the plain finder's
-//!   phases unchanged. No exception phase: the nibbles are already exact for
-//!   matching purposes.
+//! * [`NibbleDecoder`] — the decoder that makes [`super::DecodingFinder`]
+//!   the finder over a nibble-packed chunk: each work-group decodes its read
+//!   window into the `chr` scratch (uppercase canonical codes via
+//!   [`mask_to_char`]) and then runs the plain finder's phases unchanged.
+//!   No exception phase: the nibbles are already exact for matching
+//!   purposes.
 
-use gpu_sim::isa::{CodeModel, Staging};
-use gpu_sim::kernel::{KernelProgram, LocalLayout, LocalMem};
 use gpu_sim::{DeviceBuffer, ItemCtx};
 
 use genome::base::base_mask;
 use genome::fourbit::mask_to_char;
 
 use super::chunk_comparer::{ChunkReader, Encoding};
-use super::finder::FinderKernel;
+use super::finder::{PayloadForm, WindowDecoder};
 use super::specialize::FoldedPattern;
 
 /// Nibble words, two bases per byte, low nibble first; each read yields the
@@ -80,86 +79,24 @@ impl ChunkReader for NibbleReader {
     }
 }
 
-/// The finder over a nibble-packed chunk.
-///
-/// Phase layout:
-///
-/// 0. each work-group decodes its own read window (`group span + plen`
-///    overlap) from the nibble array into `chr` — each base becomes the
-///    canonical uppercase code of its mask ([`mask_to_char`]), which matches
-///    identically to the original byte;
-/// 1. cooperative pattern staging (the plain finder's phase 0);
-/// 2. scan (the plain finder's phase 1).
-///
-/// Unlike [`super::finder::PackedFinderKernel`] there is no exception phase:
-/// the nibble mask is already exact for matching, so nothing needs patching.
-/// Overlapping window positions are written by two adjacent groups with the
-/// same decoded value, so the result is order-independent.
+/// The nibble payload as a finder decodes it: each base becomes the
+/// canonical uppercase code of its mask ([`mask_to_char`]), which matches
+/// identically to the original byte. Nothing needs patching.
 #[derive(Debug, Clone)]
-pub struct NibbleFinderKernel {
-    /// The plain finder this kernel decodes into and then runs.
-    pub inner: FinderKernel,
-    /// Nibble-packed chunk bases (2 per byte, low nibble first).
-    pub nibbles: DeviceBuffer<u8>,
-}
+pub struct NibbleDecoder(pub DeviceBuffer<u8>);
 
-impl KernelProgram for NibbleFinderKernel {
-    type Private = ();
+impl WindowDecoder for NibbleDecoder {
+    const FORM: PayloadForm = PayloadForm::Nibble;
+    const PHASES: usize = 1;
+    // The nibble pointer and the decode's VALU.
+    const MODEL: [u32; 4] = [1, 0, 0, 8];
 
-    fn name(&self) -> &str {
-        "finder_nibble"
-    }
-
-    fn phases(&self) -> usize {
-        3
-    }
-
-    fn local_layout(&self) -> LocalLayout {
-        self.inner.local_layout()
-    }
-
-    fn code_model(&self) -> CodeModel {
-        Self::model()
-    }
-
-    fn run_phase(&self, phase: usize, item: &mut ItemCtx, p: &mut (), local: &mut LocalMem) {
-        match phase {
-            0 => {
-                // Strided decode of the group's read window: lane-adjacent
-                // nibble reads and chr writes, all coalesced.
-                let plen = self.inner.plen as usize;
-                let seq_len = self.inner.seq_len as usize;
-                let li = item.local_id(0);
-                let group = item.local_range(0);
-                let start = item.group(0) * group;
-                let end = (start + group + plen).min(seq_len);
-                let mut k = start + li;
-                while k < end {
-                    let byte = self.nibbles.load_coalesced(item, k / 2);
-                    item.ops(3); // shift, mask, LUT
-                    let c = mask_to_char((byte >> ((k % 2) * 4)) & 0b1111);
-                    self.inner.chr.store_coalesced(item, k, c);
-                    k += group;
-                }
-            }
-            _ => self.inner.run_phase(phase - 1, item, p, local),
-        }
-    }
-}
-
-impl NibbleFinderKernel {
-    /// The code model the kernel is priced with.
-    pub fn model() -> CodeModel {
-        CodeModel::new("finder_nibble")
-            .pointer_args(7)
-            .scalar_args(3)
-            .noalias(true)
-            .staging(Staging::Parallel)
-            .staged_arrays(2)
-            .guarded_blocks(2)
-            .ladder_arms(13)
-            .atomic_output(true)
-            .extra_valu(8)
+    /// Lane-adjacent nibble reads: coalesced.
+    #[inline]
+    fn decode(&self, item: &mut ItemCtx, k: usize) -> u8 {
+        let byte = self.0.load_coalesced(item, k / 2);
+        item.ops(3); // shift, mask, LUT
+        mask_to_char((byte >> ((k % 2) * 4)) & 0b1111)
     }
 }
 
@@ -169,8 +106,8 @@ mod tests {
     use crate::kernels::chunk_comparer::OnDevice;
     use crate::kernels::finder::{FLAG_BOTH, FLAG_FORWARD};
     use crate::kernels::{
-        ChunkBuffers, ComparerKernel, ComparerLaunch, ComparerOutput, FinderOutput, OptLevel,
-        Pattern, Sites, StagedPattern,
+        ChunkBuffers, ComparerKernel, ComparerLaunch, ComparerOutput, DecodingFinder, FinderKernel,
+        FinderOutput, OptLevel, Pattern, Sites, StagedPattern,
     };
     use crate::pattern::CompiledSeq;
     use genome::fourbit::NibbleSeq;
@@ -321,8 +258,15 @@ mod tests {
             .alloc_constant_from_slice(compiled.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
-        let (kernel, _) =
-            FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
+        let (kernel, _) = FinderKernel::new(
+            chr,
+            pat,
+            pat_index,
+            out,
+            seq.len(),
+            seq.len(),
+            compiled.plen(),
+        );
         let nd = NdRange::linear_cover(seq.len(), 64);
         device.launch(&kernel, nd).unwrap();
         let n = kernel.out.count_matches();
@@ -343,11 +287,18 @@ mod tests {
             .alloc_constant_from_slice(compiled.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, seq.len()).unwrap();
-        let (inner, _) =
-            FinderKernel::new(chr, pat, pat_index, out, seq.len(), seq.len(), &compiled);
-        let kernel = NibbleFinderKernel {
+        let (inner, _) = FinderKernel::new(
+            chr,
+            pat,
+            pat_index,
+            out,
+            seq.len(),
+            seq.len(),
+            compiled.plen(),
+        );
+        let kernel = DecodingFinder {
             inner,
-            nibbles: device.alloc_from_slice(packed.nibble_bytes()).unwrap(),
+            decoder: NibbleDecoder(device.alloc_from_slice(packed.nibble_bytes()).unwrap()),
         };
         let nd = NdRange::linear_cover(seq.len(), 64);
         device.launch(&kernel, nd).unwrap();
@@ -367,12 +318,17 @@ mod tests {
             let plain = run_plain_finder(&seq, pattern);
             let (hits, decoded) = run_nibble_finder(&seq, pattern);
             // The decode canonicalizes case (matching is case-insensitive).
-            let canonical: Vec<u8> = seq
-                .iter()
-                .map(|&b| mask_to_char(base_mask(b)))
-                .collect();
-            assert_eq!(decoded, canonical, "decode is the canonical code of each mask");
-            assert_eq!(hits, plain, "pattern {}", std::str::from_utf8(pattern).unwrap());
+            let canonical: Vec<u8> = seq.iter().map(|&b| mask_to_char(base_mask(b))).collect();
+            assert_eq!(
+                decoded, canonical,
+                "decode is the canonical code of each mask"
+            );
+            assert_eq!(
+                hits,
+                plain,
+                "pattern {}",
+                std::str::from_utf8(pattern).unwrap()
+            );
             assert!(!hits.is_empty());
         }
     }
@@ -389,10 +345,10 @@ mod tests {
             .alloc_constant_from_slice(compiled.comp_index())
             .unwrap();
         let out = FinderOutput::allocate(&device, 256).unwrap();
-        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, &compiled);
-        let kernel = NibbleFinderKernel {
+        let (inner, _) = FinderKernel::new(chr, pat, pat_index, out, 256, 256, compiled.plen());
+        let kernel = DecodingFinder {
             inner,
-            nibbles: device.alloc_from_slice(packed.nibble_bytes()).unwrap(),
+            decoder: NibbleDecoder(device.alloc_from_slice(packed.nibble_bytes()).unwrap()),
         };
         let report = device
             .launch(&kernel, NdRange::linear_cover(256, 64))

@@ -35,8 +35,10 @@ use genome::base::base_mask;
 use super::chunk_comparer::{
     comparer_model, comparer_name, ChunkReader, Encoding, PatternForm, PatternSource,
 };
-use super::finder::{FinderOutput, FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE};
-use super::fourbit::NibbleFinderKernel;
+use super::finder::{
+    finder_name, DecodingFinder, FinderOutput, PayloadForm, FLAG_BOTH, FLAG_FORWARD, FLAG_REVERSE,
+};
+use super::fourbit::NibbleDecoder;
 use crate::pattern::CompiledSeq;
 
 /// Which kernel shape a variant specializes.
@@ -52,11 +54,11 @@ pub enum VariantKind {
     /// generic kernel's whole decode-to-`chr` phase disappears).
     NibbleFinder,
     /// The fused multi-guide comparer with the block's shared threshold
-    /// folded to an immediate ([`GuideThresholds::Folded`]
-    /// (super::multi::GuideThresholds::Folded)). The guides themselves stay
-    /// data — a library screen cycles thousands of them through the same
-    /// variant — so what folds is the (PAM pattern, threshold) pair the
-    /// whole screen shares.
+    /// folded to an immediate
+    /// ([`GuideThresholds::Folded`](super::multi::GuideThresholds::Folded)).
+    /// The guides themselves stay data — a library screen cycles thousands
+    /// of them through the same variant — so what folds is the (PAM
+    /// pattern, threshold) pair the whole screen shares.
     MultiComparer,
 }
 
@@ -75,7 +77,7 @@ impl VariantKind {
     pub fn kernel_name(&self) -> &'static str {
         match self.comparer() {
             Some((encoding, form)) => comparer_name(encoding, form),
-            None => "finder_nibble-spec",
+            None => finder_name(PayloadForm::Nibble, true),
         }
     }
 
@@ -202,7 +204,7 @@ pub fn generic_model(kind: VariantKind, opt: super::OptLevel) -> CodeModel {
         VariantKind::CharComparer => super::comparer::ComparerKernel::code_model_for(opt),
         VariantKind::TwoBitComparer => comparer_model(Encoding::TwoBit, PatternForm::Staged, 0),
         VariantKind::FourBitComparer => comparer_model(Encoding::FourBit, PatternForm::Staged, 0),
-        VariantKind::NibbleFinder => NibbleFinderKernel::model(),
+        VariantKind::NibbleFinder => DecodingFinder::<NibbleDecoder>::model(),
         VariantKind::MultiComparer => comparer_model(Encoding::Char, PatternForm::Fused, 0),
     }
 }
@@ -472,15 +474,13 @@ impl PatternSource for Arc<CompiledVariant> {
 }
 
 /// The specialized nibble finder: scans nibble words directly against the
-/// folded PAM masks. The generic [`NibbleFinderKernel`] first decodes the
-/// whole read window into the `chr` scratch, then stages the pattern, then
-/// scans — three phases. Folding deletes the first two: the subset test
-/// `g != 0 && (g & p) == g` on the raw nibble is bit-identical to
-/// `is_mismatch` on the decoded char ([`genome::base::matches`]), so this
+/// folded PAM masks. The generic nibble finder, a [`DecodingFinder`] over
+/// the nibbles, first decodes the whole read window into the `chr` scratch,
+/// then stages the pattern, then scans — three phases. Folding deletes the
+/// first two: the subset test `g != 0 && (g & p) == g` on the raw nibble is
+/// bit-identical to `is_mismatch` on the decoded char ([`genome::base::matches`]), so this
 /// single-phase kernel returns exactly the generic results with no `chr`
 /// traffic at all.
-///
-/// [`NibbleFinderKernel`]: super::NibbleFinderKernel
 #[derive(Debug, Clone)]
 pub struct SpecializedNibbleFinderKernel {
     /// Nibble-packed chunk bases (2 per byte, low nibble first).
@@ -842,9 +842,12 @@ mod tests {
                 out,
                 scan_len,
                 seq.len(),
-                &pam,
+                pam.plen(),
             );
-            let kernel = NibbleFinderKernel { inner, nibbles };
+            let kernel = DecodingFinder {
+                inner,
+                decoder: NibbleDecoder(nibbles),
+            };
             device
                 .launch(&kernel, NdRange::linear_cover(scan_len, 256))
                 .unwrap();

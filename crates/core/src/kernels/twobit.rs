@@ -6,7 +6,10 @@
 //! so a site comparison loads roughly `plen/4 + plen/8` bytes instead of
 //! `plen` — the memory-traffic reduction that gave the original authors
 //! their ~30x combined improvement. [`super::ChunkComparer`] over this
-//! reader is the 2-bit comparer in every pattern form.
+//! reader is the 2-bit comparer in every pattern form, and
+//! [`super::DecodingFinder`] over [`PackedDecoder`] is the 2-bit finder.
+
+use std::ops::Range;
 
 use gpu_sim::{DeviceBuffer, ItemCtx};
 
@@ -14,6 +17,7 @@ use genome::base::is_mismatch;
 use genome::twobit::code_to_char;
 
 use super::chunk_comparer::{ChunkReader, Encoding};
+use super::finder::{PayloadForm, WindowDecoder};
 use super::specialize::FoldedPattern;
 
 /// Packed words plus the ambiguity mask; masked bases decode as `N`.
@@ -68,6 +72,60 @@ impl ChunkReader for TwoBitReader {
     #[inline]
     fn mismatch(pattern: u8, base: u8) -> bool {
         is_mismatch(pattern, base)
+    }
+}
+
+/// The 2-bit payload as a finder decodes it: packed words and the mask,
+/// then the (rare) exception bytes patched over the decoded window.
+#[derive(Debug, Clone)]
+pub struct PackedDecoder {
+    /// Packed base bytes (4 bases per byte, LSB first).
+    pub packed: DeviceBuffer<u8>,
+    /// Ambiguity mask bytes (8 bases per byte, LSB first).
+    pub mask: DeviceBuffer<u8>,
+    /// Exception positions (sorted ascending), `n_exc` entries used.
+    pub exc_pos: DeviceBuffer<u32>,
+    /// Exception bytes, parallel to `exc_pos`.
+    pub exc_val: DeviceBuffer<u8>,
+    /// Number of valid exception entries.
+    pub n_exc: u32,
+}
+
+impl WindowDecoder for PackedDecoder {
+    const FORM: PayloadForm = PayloadForm::Packed;
+    const PHASES: usize = 2;
+    // packed, mask, exc_pos, exc_val; n_exc; the window test.
+    const MODEL: [u32; 4] = [4, 1, 1, 16];
+
+    /// Lane-adjacent packed and mask reads: coalesced.
+    #[inline]
+    fn decode(&self, item: &mut ItemCtx, k: usize) -> u8 {
+        let byte = self.packed.load_coalesced(item, k / 4);
+        let mbyte = self.mask.load_coalesced(item, k / 8);
+        item.ops(4); // shifts, mask test, select
+        if (mbyte >> (k % 8)) & 1 == 1 {
+            b'N'
+        } else {
+            code_to_char(byte >> ((k % 4) * 2))
+        }
+    }
+
+    /// A cooperative pass over the exception list (degenerate IUPAC codes
+    /// and case oddities — empty for plain ACGT/N genomes): each group
+    /// applies the entries inside its own window, after the barrier that
+    /// ends the decode.
+    fn patch(&self, item: &mut ItemCtx, chr: &DeviceBuffer<u8>, window: Range<usize>) {
+        let group = item.local_range(0);
+        let mut e = item.local_id(0);
+        while e < self.n_exc as usize {
+            let pos = self.exc_pos.load_coalesced(item, e) as usize;
+            item.ops(2); // window test
+            if window.contains(&pos) {
+                let v = self.exc_val.load_coalesced(item, e);
+                chr.store(item, pos, v); // scattered, rare
+            }
+            e += group;
+        }
     }
 }
 

@@ -19,15 +19,20 @@
 //!    [`ComparerRoute`] selects.
 //!
 //! The encoding only picks which kernels run and which payload buffers
-//! lead their argument lists. Every comparer launch, in either API, is one
-//! [`ComparerLaunch`] — chunk buffers, pattern source, candidate sites —
-//! that the OpenCL runner writes out as kernel arguments and the SYCL
-//! runner hands to its command group. The host-API calls stay per API, so each
-//! runner still shows its Table I steps: the OpenCL runner binds kernel
-//! arguments and enqueues commands, the SYCL runner submits command groups
-//! with accessors. The API-agnostic pieces — payload routing, the token LRU
-//! residency set, candidate capture and entry assembly — are written once
-//! here, and [`ChunkRunner`] puts either flavour behind one interface.
+//! lead their argument lists. Every launch, in either API, is described
+//! once: a finder launch is one [`FinderLaunch`] — the payload's
+//! [`PayloadBuffers`], the decode target, the staged or folded PAM and the
+//! candidate outputs — and a comparer launch is one [`ComparerLaunch`] —
+//! chunk buffers, pattern source, candidate sites. The OpenCL runner writes
+//! each out as kernel arguments ([`finder_args`], [`comparer_args`]) and
+//! the SYCL runner hands it to its command group, so neither runner
+//! matches on the payload form to pick a kernel. The host-API calls stay
+//! per API, so each runner still shows its Table I steps: the OpenCL
+//! runner binds kernel arguments and enqueues commands, the SYCL runner
+//! submits command groups with accessors. The API-agnostic pieces —
+//! payload routing, the token LRU residency set, candidate capture and
+//! entry assembly — are written once here, and [`ChunkRunner`] puts either
+//! flavour behind one interface.
 //!
 //! The runners exist so a *scheduler* can drive chunks out of order and
 //! coalesce many queries onto one chunk upload: `casoff-serve` batches
@@ -37,8 +42,8 @@
 use gpu_sim::profile::Profile;
 use gpu_sim::{Device, DeviceBuffer, NdRange, Scalar, TrafficSnapshot};
 use opencl_rt::{
-    ClBuffer, ClDeviceId, ClError, ClEvent, ClResult, CommandQueue, Context, Kernel, KernelArg,
-    KernelSource, MemFlags, Program,
+    ClBuffer, ClDeviceId, ClError, ClEvent, ClKernelFunction, ClResult, CommandQueue, Context,
+    Kernel, KernelSource, MemFlags, Program,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -54,14 +59,13 @@ use genome::twobit::PackedSeq;
 
 use crate::input::Query;
 use crate::kernels::cl::{
-    comparer_args, ClChunkComparer, ClComparer, ClFinder, ClNibbleFinder, ClPackedFinder,
-    ClPattern, ClSpecializedNibbleFinder,
+    comparer_args, finder_args, ClChunkComparer, ClChunkFinder, ClComparer, ClPattern,
 };
 use crate::kernels::specialize::{self, CompiledVariant, VariantKind};
 use crate::kernels::{
-    comparer_name, ChunkBuffers, ComparerLaunch, ComparerOutput, Encoding, FinderKernel,
-    FinderOutput, GuideBlock, GuideThresholds, NibbleFinderKernel, OptLevel, PackedFinderKernel,
-    Pattern, PatternForm, Sites, SpecializedNibbleFinderKernel, StagedPattern, GUIDE_BLOCK,
+    comparer_name, ChunkBuffers, ComparerLaunch, ComparerOutput, Encoding, FinderLaunch,
+    FinderOutput, GuideBlock, GuideThresholds, OptLevel, Pam, Pattern, PatternForm, PayloadBuffers,
+    PayloadForm, Sites, StagedPattern, GUIDE_BLOCK,
 };
 use crate::pattern::CompiledSeq;
 use crate::report::{Api, TimingBreakdown};
@@ -181,13 +185,13 @@ impl Payload<'_> {
         }
     }
 
-    /// Index of the payload form. Each form has its own residency set, so
-    /// the forms never share a token.
-    fn form(self) -> usize {
+    /// The payload form. Each form has its own residency set, so the forms
+    /// never share a token.
+    fn form(self) -> PayloadForm {
         match self {
-            Payload::Raw(_) => 0,
-            Payload::Packed(_) => 1,
-            Payload::Nibble(_) => 2,
+            Payload::Raw(_) => PayloadForm::Raw,
+            Payload::Packed(_) => PayloadForm::Packed,
+            Payload::Nibble(_) => PayloadForm::Nibble,
         }
     }
 
@@ -215,41 +219,17 @@ impl Payload<'_> {
     }
 }
 
-/// Device buffers holding one uploaded payload, generic over the host
-/// API's buffer types.
-#[derive(Clone)]
-enum PayloadBuffers<B8, B32> {
-    Raw(B8),
-    Packed {
-        words: B8,
-        mask: B8,
-        exc_pos: B32,
-        exc_val: B8,
-    },
-    Nibble(B8),
-}
-
 type OclPayload = PayloadBuffers<ClBuffer<u8>, ClBuffer<u32>>;
 type SyclPayload = PayloadBuffers<Buffer<u8>, Buffer<u32>>;
 
-impl<B8, B32> PayloadBuffers<B8, B32> {
-    /// The buffers a comparer on `route` reads; `decoded` is the finder's
-    /// decode target.
-    fn comparer_inputs<'a>(
-        &'a self,
-        route: ComparerRoute,
-        decoded: &'a B8,
-    ) -> ChunkBuffers<&'a B8> {
-        match (route, self) {
-            (ComparerRoute::DecodedChar, _) => ChunkBuffers::Char(decoded),
-            (_, PayloadBuffers::Raw(b)) => ChunkBuffers::Char(b),
-            (_, PayloadBuffers::Nibble(b)) => ChunkBuffers::FourBit(b),
-            (_, PayloadBuffers::Packed { words, mask, .. }) => ChunkBuffers::TwoBit {
-                packed: words,
-                mask,
-            },
-        }
-    }
+/// The folded PAM a finder over `form` reads: the runner's nibble-finder
+/// variant, on a nibble payload of a specializing runner; `None` (staged
+/// tables) otherwise.
+fn folded_pam(
+    variant: &Option<Arc<CompiledVariant>>,
+    form: PayloadForm,
+) -> Option<Arc<CompiledVariant>> {
+    variant.clone().filter(|_| form == PayloadForm::Nibble)
 }
 
 /// The token LRU residency set both runners keep per payload form, most
@@ -448,6 +428,11 @@ impl LaunchOutput {
             per_query[q].push((self.pos[i], self.dir[i], self.mm[i]));
         }
     }
+}
+
+/// The device view of an OpenCL buffer, as a payload binding.
+fn device<T: Scalar>(_: &mut (), buf: &ClBuffer<T>) -> ClResult<DeviceBuffer<T>> {
+    Ok(buf.device_buffer())
 }
 
 /// Simulated kernel seconds of a completed OpenCL event, recorded into
@@ -790,14 +775,17 @@ pub struct OclChunkRunner {
     ctx: Context,
     queue: CommandQueue,
     program: Program,
-    /// `finder`, `finder_packed` and `finder_nibble` (its specialized
-    /// variant when the runner specializes), by payload form.
+    /// The kernel of each payload form's [`ClChunkFinder`], by form — the
+    /// one every finder launch over that form names (the nibble finder
+    /// folds the PAM when the runner specializes, as its launches do).
     finders: [Kernel; 3],
     /// `comparer` (the paper's, at the configured stage), `comparer-2bit`
     /// and `comparer-4bit`, by comparer encoding.
     comparers: [Kernel; 3],
     specialize: bool,
     pattern: CompiledSeq,
+    /// The PAM's nibble-finder variant, folded when the runner specializes.
+    pam_variant: Option<Arc<CompiledVariant>>,
     /// Decode target of the packed and nibble finders, and the char
     /// comparer's input on the [`ComparerRoute::DecodedChar`] path. Raw
     /// payloads have slots of their own, so a decode never evicts them.
@@ -847,13 +835,21 @@ impl OclChunkRunner {
         let pattern = CompiledSeq::compile(pattern_seq);
         let plen = pattern.plen();
 
+        // A specializing runner knows the PAM pattern at construction, so
+        // its folded nibble finder lives in the main program.
+        let pam_variant = config.specialize.then(|| {
+            specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0)
+        });
+        let finder_fns = PayloadForm::ALL.map(|form| ClChunkFinder {
+            form,
+            pam: folded_pam(&pam_variant, form),
+        });
         // Raw chunks keep the paper's comparer at the configured stage; the
         // packed encodings (and, fused, all three) run the serving comparer.
-        let mut source = KernelSource::new()
-            .with_function(Arc::new(ClFinder))
-            .with_function(Arc::new(ClPackedFinder))
-            .with_function(Arc::new(ClNibbleFinder))
-            .with_function(Arc::new(ClComparer::new(config.opt)));
+        let mut source = KernelSource::new().with_function(Arc::new(ClComparer::new(config.opt)));
+        for f in &finder_fns {
+            source = source.with_function(Arc::new(f.clone()));
+        }
         let mut serving = vec![
             (Encoding::TwoBit, ClPattern::Staged),
             (Encoding::FourBit, ClPattern::Staged),
@@ -865,25 +861,13 @@ impl OclChunkRunner {
         for (encoding, pattern) in serving {
             source = source.with_function(Arc::new(ClChunkComparer { encoding, pattern }));
         }
-        if config.specialize {
-            let variant =
-                specialize::global_cache().get_or_compile(VariantKind::NibbleFinder, &pattern, 0);
-            source = source.with_function(Arc::new(ClSpecializedNibbleFinder { variant }));
-        }
         let program = Program::create_with_source(&ctx, source);
         program.build("-O3")?;
         let kernels = |names: [&str; 3]| -> ClResult<[Kernel; 3]> {
             let [a, b, c] = names.map(|name| program.create_kernel(name));
             Ok([a?, b?, c?])
         };
-        // A specializing runner knows the PAM pattern at construction, so
-        // its folded nibble finder lives in the main program.
-        let nibble_finder = if config.specialize {
-            VariantKind::NibbleFinder.kernel_name()
-        } else {
-            "finder_nibble"
-        };
-        let finders = kernels(["finder", "finder_packed", nibble_finder])?;
+        let finders = kernels(finder_fns.each_ref().map(|f| f.name()))?;
         let comparers = kernels(Encoding::ALL.map(|e| comparer_name(e, PatternForm::Staged)))?;
         let cap = config.chunk_size;
 
@@ -896,18 +880,18 @@ impl OclChunkRunner {
         let n_slots = config.resident_slots.max(1);
         let residency = [0, 1, 2].map(|_| Residency::new(n_slots));
         let mut slots = Vec::with_capacity(3 * n_slots);
-        for (form, set) in residency.iter().enumerate() {
+        for (form, set) in PayloadForm::ALL.into_iter().zip(&residency) {
             for _ in 0..n_slots {
                 set.insert(None, slots.len());
                 slots.push(match form {
-                    0 => PayloadBuffers::Raw(bytes(len)?),
-                    1 => PayloadBuffers::Packed {
+                    PayloadForm::Raw => PayloadBuffers::Raw(bytes(len)?),
+                    PayloadForm::Packed => PayloadBuffers::Packed {
                         words: bytes(len.div_ceil(4))?,
                         mask: bytes(len.div_ceil(8))?,
                         exc_pos: ClBuffer::<u32>::create(&ctx, MemFlags::ReadOnly, len)?,
                         exc_val: bytes(len)?,
                     },
-                    _ => PayloadBuffers::Nibble(bytes(len.div_ceil(2))?),
+                    PayloadForm::Nibble => PayloadBuffers::Nibble(bytes(len.div_ceil(2))?),
                 });
             }
         }
@@ -951,6 +935,7 @@ impl OclChunkRunner {
             comparers,
             specialize: config.specialize,
             pattern,
+            pam_variant,
             chr,
             slots,
             residency,
@@ -1165,8 +1150,8 @@ impl OclChunkRunner {
     /// Claim the slot of payload form `form` for `token`: the slot already
     /// holding it, or the least recently used one, re-tagged. Returns the
     /// slot and whether it was resident.
-    fn claim(&self, form: usize, token: Option<u64>) -> (&OclPayload, bool) {
-        let set = &self.residency[form];
+    fn claim(&self, form: PayloadForm, token: Option<u64>) -> (&OclPayload, bool) {
+        let set = &self.residency[form as usize];
         let hit = token.and_then(|t| set.take(t));
         let reused = hit.is_some();
         let i = hit
@@ -1224,65 +1209,37 @@ impl OclChunkRunner {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> ClResult<usize> {
-        let plen = self.pattern.plen();
         let w = self.queue.enqueue_fill_buffer(&self.fcount, 0u32)?;
         timing.transfer_s += w.duration_s();
 
-        // Step 9: finder arguments. The payload's buffers lead; a generic
-        // finder then takes the chunk it scans (the raw bases, or the
-        // scratch it decodes into) and the pattern tables. The specialized
-        // nibble finder scans the nibbles with the pattern folded in.
-        let chr = KernelArg::BufU8(self.chr.device_buffer());
-        let (k, mut args) = match slot {
-            PayloadBuffers::Raw(buf) => (
-                &self.finders[0],
-                vec![KernelArg::BufU8(buf.device_buffer())],
-            ),
-            PayloadBuffers::Packed {
-                words,
-                mask,
-                exc_pos,
-                exc_val,
-            } => (
-                &self.finders[1],
-                vec![
-                    KernelArg::BufU8(words.device_buffer()),
-                    KernelArg::BufU8(mask.device_buffer()),
-                    KernelArg::BufU32(exc_pos.device_buffer()),
-                    KernelArg::BufU8(exc_val.device_buffer()),
-                    KernelArg::U32(payload.exceptions()),
-                    chr,
-                ],
-            ),
-            PayloadBuffers::Nibble(buf) if self.specialize => (
-                &self.finders[2],
-                vec![KernelArg::BufU8(buf.device_buffer())],
-            ),
-            PayloadBuffers::Nibble(buf) => (
-                &self.finders[2],
-                vec![KernelArg::BufU8(buf.device_buffer()), chr],
-            ),
+        // Step 9: finder arguments, in the order the launch's kernel takes
+        // them (see `ClChunkFinder`).
+        let form = payload.form();
+        let folded = folded_pam(&self.pam_variant, form);
+        let launch = FinderLaunch {
+            payload: slot.bind(&mut (), device, device)?,
+            exceptions: payload.exceptions(),
+            decoded: form
+                .decodes(folded.is_some())
+                .then(|| self.chr.device_buffer()),
+            pam: match folded {
+                Some(variant) => Pam::Folded(variant),
+                None => Pam::Staged {
+                    pat: self.pat.device_buffer(),
+                    pat_index: self.pat_index.device_buffer(),
+                    plen: self.pattern.plen(),
+                },
+            },
+            out: FinderOutput {
+                loci: self.loci.device_buffer(),
+                flags: self.flags.device_buffer(),
+                count: self.fcount.device_buffer(),
+            },
+            scan_len: scan_len as u32,
+            seq_len: payload.len() as u32,
         };
-        let generic = !(matches!(slot, PayloadBuffers::Nibble(_)) && self.specialize);
-        if generic {
-            args.push(KernelArg::BufU8(self.pat.device_buffer()));
-            args.push(KernelArg::BufI32(self.pat_index.device_buffer()));
-        }
-        args.extend([
-            KernelArg::BufU32(self.loci.device_buffer()),
-            KernelArg::BufU8(self.flags.device_buffer()),
-            KernelArg::BufU32(self.fcount.device_buffer()),
-            KernelArg::U32(scan_len as u32),
-            KernelArg::U32(payload.len() as u32),
-        ]);
-        if generic {
-            args.extend([
-                KernelArg::U32(plen as u32),
-                KernelArg::Local { bytes: 2 * plen },
-                KernelArg::Local { bytes: 8 * plen },
-            ]);
-        }
-        for (i, arg) in args.into_iter().enumerate() {
+        let k = &self.finders[form as usize];
+        for (i, arg) in finder_args(&launch).into_iter().enumerate() {
             k.set_arg(i, arg)?;
         }
 
@@ -1428,8 +1385,8 @@ impl OclChunkRunner {
             };
             let launch = ComparerLaunch {
                 chunk: slot
-                    .comparer_inputs(route, &self.chr)
-                    .try_map(|b| Ok::<_, ClError>(b.device_buffer()))?,
+                    .comparer_inputs((!route.reads_payload()).then_some(&self.chr))
+                    .try_map(|b| device(&mut (), b))?,
                 pattern,
                 sites: Sites {
                     loci: self.loci.device_buffer(),
@@ -1570,20 +1527,6 @@ impl SyclQueryTables {
     }
 }
 
-/// The pattern buffers of one SYCL comparer launch, by form: one query's
-/// tables and threshold, its folded variant, or a fused block's tables,
-/// thresholds and guide tags.
-enum SyclPattern<'a> {
-    Staged(&'a Buffer<u8>, &'a Buffer<i32>, u16),
-    Folded(Arc<CompiledVariant>),
-    Block(
-        Buffer<u8>,
-        Buffer<i32>,
-        GuideThresholds<Buffer<u16>>,
-        Buffer<u16>,
-    ),
-}
-
 /// The retained device buffers of one candidate list.
 #[derive(Clone)]
 struct SyclCandidates {
@@ -1623,40 +1566,9 @@ fn sycl_buffers(payload: Payload<'_>) -> SyclPayload {
     }
 }
 
-/// Bind a finder's candidate outputs: loci and flags write-only (no
-/// upload), the counter read-write.
-fn finder_output(
-    h: &mut Handler<'_>,
-    loci: &Buffer<u32>,
-    flags: &Buffer<u8>,
-    count: &Buffer<u32>,
-) -> SyclResult<FinderOutput> {
-    Ok(FinderOutput {
-        loci: h.get_access(loci, AccessMode::Write)?.raw(),
-        flags: h.get_access(flags, AccessMode::Write)?.raw(),
-        count: h.get_access(count, AccessMode::ReadWrite)?.raw(),
-    })
-}
-
 /// Bind `buffer` for reading (its implicit upload, when not yet bound).
 fn read<T: Scalar>(h: &mut Handler<'_>, buffer: &Buffer<T>) -> SyclResult<DeviceBuffer<T>> {
     Ok(h.get_access(buffer, AccessMode::Read)?.raw())
-}
-
-/// Bind a comparer's compacted outputs.
-fn comparer_output(
-    h: &mut Handler<'_>,
-    mm: &Buffer<u16>,
-    dir: &Buffer<u8>,
-    loci: &Buffer<u32>,
-    count: &Buffer<u32>,
-) -> SyclResult<ComparerOutput> {
-    Ok(ComparerOutput {
-        mm_count: h.get_access(mm, AccessMode::Write)?.raw(),
-        direction: h.get_access(dir, AccessMode::Write)?.raw(),
-        loci: h.get_access(loci, AccessMode::Write)?.raw(),
-        count: h.get_access(count, AccessMode::ReadWrite)?.raw(),
-    })
 }
 
 /// The SYCL flavour of the chunk-level API: owns the queue and the
@@ -1800,7 +1712,7 @@ impl SyclChunkRunner {
 
         // Rebind the buffers resident under `token`, or wrap the payload in
         // fresh ones (uploaded by their first accessor) and retain them.
-        let set = &self.residency[payload.form()];
+        let set = &self.residency[payload.form() as usize];
         let hit = token.and_then(|t| set.take(t));
         let reused = hit.is_some();
         if reused {
@@ -1821,7 +1733,7 @@ impl SyclChunkRunner {
             None => self.run_finder(token, payload, &bufs, &decoded, scan_len, timing, profile)?,
         };
         if n > 0 {
-            let inputs = bufs.comparer_inputs(route, &decoded);
+            let inputs = bufs.comparer_inputs((!route.reads_payload()).then_some(&decoded));
             self.run_comparers(
                 route,
                 inputs,
@@ -1849,76 +1761,46 @@ impl SyclChunkRunner {
         timing: &mut TimingBreakdown,
         profile: &mut Profile,
     ) -> SyclResult<(Buffer<u32>, Buffer<u8>, usize)> {
-        let seq_len = payload.len();
         // The kernel-output arrays are `no_init`: the finder fully
         // overwrites the slots it uses.
         let loci_buf = Buffer::<u32>::uninit(scan_len);
         let flags_buf = Buffer::<u8>::uninit(scan_len);
         let fcount_buf = Buffer::<u32>::new(1);
-        // A generic finder scanning `chr`, with the pattern tables and the
-        // candidate outputs bound after it.
-        let generic = |h: &mut Handler<'_>, chr: DeviceBuffer<u8>| -> SyclResult<FinderKernel> {
-            let pat = h.get_access(&self.pat_buf, AccessMode::Read)?.raw();
-            let pat_index = h.get_access(&self.pat_index_buf, AccessMode::Read)?.raw();
-            let out = finder_output(h, &loci_buf, &flags_buf, &fcount_buf)?;
-            let (kernel, _) =
-                FinderKernel::new(chr, pat, pat_index, out, scan_len, seq_len, &self.pattern);
-            Ok(kernel)
-        };
+        let form = payload.form();
+        let folded = folded_pam(&self.pam_variant, form);
 
         // Command group: bind accessors (implicit upload) + finder kernel.
         let ev = self.queue.submit(|h| {
             let range = NdRange::linear(round_up(scan_len, self.wgs), self.wgs);
-            match bufs {
-                PayloadBuffers::Raw(chr) => {
-                    let chr = h.get_access(chr, AccessMode::Read)?.raw();
-                    let kernel = generic(h, chr)?;
-                    h.parallel_for(range, &kernel)
-                }
-                PayloadBuffers::Packed {
-                    words,
-                    mask,
-                    exc_pos,
-                    exc_val,
-                } => {
-                    let packed = h.get_access(words, AccessMode::Read)?.raw();
-                    let mask = h.get_access(mask, AccessMode::Read)?.raw();
-                    let exc_pos = h.get_access(exc_pos, AccessMode::Read)?.raw();
-                    let exc_val = h.get_access(exc_val, AccessMode::Read)?.raw();
-                    let chr = h.get_access(decoded, AccessMode::ReadWrite)?.raw();
-                    let kernel = PackedFinderKernel {
-                        inner: generic(h, chr)?,
-                        packed,
-                        mask,
-                        exc_pos,
-                        exc_val,
-                        n_exc: payload.exceptions(),
-                    };
-                    h.parallel_for(range, &kernel)
-                }
-                PayloadBuffers::Nibble(nibble_buf) => {
-                    let nibbles = h.get_access(nibble_buf, AccessMode::Read)?.raw();
-                    if let Some(variant) = &self.pam_variant {
-                        // The specialized finder scans the nibble words
-                        // directly; the decode target is never produced.
-                        let kernel = SpecializedNibbleFinderKernel {
-                            nibbles,
-                            out: finder_output(h, &loci_buf, &flags_buf, &fcount_buf)?,
-                            scan_len: scan_len as u32,
-                            seq_len: seq_len as u32,
-                            variant: Arc::clone(variant),
-                        };
-                        h.parallel_for(range, &kernel)
-                    } else {
-                        let chr = h.get_access(decoded, AccessMode::ReadWrite)?.raw();
-                        let kernel = NibbleFinderKernel {
-                            inner: generic(h, chr)?,
-                            nibbles,
-                        };
-                        h.parallel_for(range, &kernel)
-                    }
-                }
+            let payload_bufs = bufs.bind(h, read, read)?;
+            let decoded = match form.decodes(folded.is_some()) {
+                true => Some(h.get_access(decoded, AccessMode::ReadWrite)?.raw()),
+                false => None,
+            };
+            let pam = match &folded {
+                Some(variant) => Pam::Folded(Arc::clone(variant)),
+                None => Pam::Staged {
+                    pat: read(h, &self.pat_buf)?,
+                    pat_index: read(h, &self.pat_index_buf)?,
+                    plen: self.pattern.plen(),
+                },
+            };
+            FinderLaunch {
+                payload: payload_bufs,
+                exceptions: payload.exceptions(),
+                decoded,
+                pam,
+                // Loci and flags write-only (no upload), the counter
+                // read-write.
+                out: FinderOutput {
+                    loci: h.get_access(&loci_buf, AccessMode::Write)?.raw(),
+                    flags: h.get_access(&flags_buf, AccessMode::Write)?.raw(),
+                    count: h.get_access(&fcount_buf, AccessMode::ReadWrite)?.raw(),
+                },
+                scan_len: scan_len as u32,
+                seq_len: payload.len() as u32,
             }
+            .build(SyclLaunch(h, range))
         })?;
         ev.wait();
         let finder_s = sycl_kernel_s(&ev, profile, timing);
@@ -2009,71 +1891,65 @@ impl SyclChunkRunner {
             let (first, g) = (block.start, block.len());
             let (comp_buf, comp_index_buf, threshold) = &tables.entries[first];
             let outputs = 2 * g * n;
-            // A fused block stages its concatenated tables, plus the
-            // per-guide thresholds unless they fold into its variant.
-            let pattern = if fused {
-                let thresholds: Vec<u16> =
-                    tables.entries[block.clone()].iter().map(|e| e.2).collect();
-                let thresholds = match folded_threshold(self.specialize, &thresholds) {
-                    Some(t) => GuideThresholds::Folded(cache.get_or_compile(
-                        VariantKind::MultiComparer,
-                        &self.pattern,
-                        t,
-                    )),
-                    None => GuideThresholds::PerGuide(Buffer::from_vec(thresholds)),
-                };
-                let (comp, comp_index) = block_tables(&tables.spec_queries[block]);
-                let guide = Buffer::<u16>::uninit(outputs);
-                SyclPattern::Block(
-                    Buffer::from_vec(comp),
-                    Buffer::from_vec(comp_index),
-                    thresholds,
-                    guide,
-                )
-            } else if self.specialize {
-                let query = &tables.spec_queries[first];
-                SyclPattern::Folded(cache.get_or_compile(route.variant(), query, *threshold))
-            } else {
-                SyclPattern::Staged(comp_buf, comp_index_buf, *threshold)
-            };
             let out_mm = Buffer::<u16>::uninit(outputs);
             let out_dir = Buffer::<u8>::uninit(outputs);
             let out_loci = Buffer::<u32>::uninit(outputs);
             let out_count = Buffer::<u32>::new(1);
+            let guide = fused.then(|| Buffer::<u16>::uninit(outputs));
 
             let ev = self.queue.submit(|h| {
                 let chunk = inputs.clone().try_map(|b| read(h, b))?;
                 let loci = read(h, loci_buf)?;
                 let flags = read(h, flags_buf)?;
                 // Tables bind before the outputs, per-guide thresholds after.
-                let outputs = |h: &mut Handler<'_>| {
-                    comparer_output(h, &out_mm, &out_dir, &out_loci, &out_count)
+                let outputs = |h: &mut Handler<'_>| -> SyclResult<_> {
+                    Ok(ComparerOutput {
+                        mm_count: h.get_access(&out_mm, AccessMode::Write)?.raw(),
+                        direction: h.get_access(&out_dir, AccessMode::Write)?.raw(),
+                        loci: h.get_access(&out_loci, AccessMode::Write)?.raw(),
+                        count: h.get_access(&out_count, AccessMode::ReadWrite)?.raw(),
+                    })
                 };
-                let (pattern, out) = match &pattern {
-                    SyclPattern::Staged(comp, comp_index, threshold) => {
-                        let pattern = Pattern::Staged(StagedPattern::new(
-                            read(h, comp)?,
-                            read(h, comp_index)?,
-                            plen,
-                            *threshold,
-                        ));
-                        (pattern, outputs(h)?)
-                    }
-                    SyclPattern::Folded(variant) => {
-                        (Pattern::Folded(Arc::clone(variant)), outputs(h)?)
-                    }
-                    SyclPattern::Block(comp, comp_index, thresholds, guide) => {
-                        let (comp, comp_index) = (read(h, comp)?, read(h, comp_index)?);
+                let (pattern, out) = match &guide {
+                    // A fused block stages its concatenated tables, plus
+                    // the per-guide thresholds unless they fold into its
+                    // variant.
+                    Some(guide) => {
+                        let (comp, comp_index) = block_tables(&tables.spec_queries[block.clone()]);
+                        let comp = read(h, &Buffer::from_vec(comp))?;
+                        let comp_index = read(h, &Buffer::from_vec(comp_index))?;
                         let out = outputs(h)?;
                         let guide = h.get_access(guide, AccessMode::Write)?.raw();
-                        let thresholds = match thresholds {
-                            GuideThresholds::PerGuide(b) => GuideThresholds::PerGuide(read(h, b)?),
-                            GuideThresholds::Folded(v) => GuideThresholds::Folded(Arc::clone(v)),
+                        let thresholds: Vec<u16> =
+                            tables.entries[block].iter().map(|e| e.2).collect();
+                        let thresholds = match folded_threshold(self.specialize, &thresholds) {
+                            Some(t) => GuideThresholds::Folded(cache.get_or_compile(
+                                VariantKind::MultiComparer,
+                                &self.pattern,
+                                t,
+                            )),
+                            None => {
+                                GuideThresholds::PerGuide(read(h, &Buffer::from_vec(thresholds))?)
+                            }
                         };
                         let pattern = Pattern::Block(GuideBlock::new(
                             comp, comp_index, plen, g, thresholds, guide,
                         ));
                         (pattern, out)
+                    }
+                    None if self.specialize => {
+                        let query = &tables.spec_queries[first];
+                        let variant = cache.get_or_compile(route.variant(), query, *threshold);
+                        (Pattern::Folded(variant), outputs(h)?)
+                    }
+                    None => {
+                        let pattern = Pattern::Staged(StagedPattern::new(
+                            read(h, comp_buf)?,
+                            read(h, comp_index_buf)?,
+                            plen,
+                            *threshold,
+                        ));
+                        (pattern, outputs(h)?)
                     }
                 };
                 let sites = Sites {
@@ -2108,7 +1984,7 @@ impl SyclChunkRunner {
                 h.copy_from_device(&mm, &mut out.mm)?;
                 h.copy_from_device(&dir, &mut out.dir)?;
                 h.copy_from_device(&pos, &mut out.pos)?;
-                if let (SyclPattern::Block(.., buf), Some(host)) = (&pattern, out.guide.as_mut()) {
+                if let (Some(buf), Some(host)) = (&guide, out.guide.as_mut()) {
                     let gid = h.get_access(buf, AccessMode::Read)?;
                     h.copy_from_device(&gid, host)?;
                 }
@@ -2131,31 +2007,13 @@ impl SyclChunkRunner {
     /// Propagates SYCL exceptions.
     pub fn prefetch(&self, token: u64, payload: &ChunkPayload) -> SyclResult<bool> {
         let payload = payload.view();
-        let set = &self.residency[payload.form()];
+        let set = &self.residency[payload.form() as usize];
         if let Some(bufs) = set.take(token) {
             set.insert(Some(token), bufs);
             return Ok(false);
         }
         let bufs = sycl_buffers(payload);
-        self.queue.submit(|h| {
-            match &bufs {
-                PayloadBuffers::Raw(buf) | PayloadBuffers::Nibble(buf) => {
-                    h.get_access(buf, AccessMode::Read)?;
-                }
-                PayloadBuffers::Packed {
-                    words,
-                    mask,
-                    exc_pos,
-                    exc_val,
-                } => {
-                    h.get_access(words, AccessMode::Read)?;
-                    h.get_access(mask, AccessMode::Read)?;
-                    h.get_access(exc_pos, AccessMode::Read)?;
-                    h.get_access(exc_val, AccessMode::Read)?;
-                }
-            }
-            Ok(())
-        })?;
+        self.queue.submit(|h| bufs.bind(h, read, read).map(drop))?;
         set.insert(Some(token), bufs);
         Ok(true)
     }

@@ -7,18 +7,19 @@
 //! just used pays a map lookup instead of a copy of up to `chunk_size`
 //! bases.
 //!
-//! Chunks are stored 2-bit packed by default ([`ChunkEncoding::Packed`]):
-//! a [`genome::twobit::PackedSeq`] holds ~0.375 bytes per base (packed
-//! words + N mask) plus a rare exception list, so the same byte budget
-//! keeps roughly 2.7x as many chunks resident as raw bytes would, and the
-//! packed payload is what the runners upload. [`ChunkEncoding::Raw`] keeps
-//! the classic one-byte-per-base layout for baseline comparisons.
+//! Chunks are stored packed. A 2-bit [`genome::twobit::PackedSeq`] holds
+//! ~0.375 bytes per base (packed words + N mask) plus a rare exception
+//! list, so the same byte budget keeps roughly 2.7x as many chunks resident
+//! as raw bytes would, and the packed payload is what the runners upload.
+//! [`ChunkEncoding::Packed`] always stores that form, and
+//! [`ChunkEncoding::Raw`] keeps the classic one-byte-per-base layout for
+//! baseline comparisons.
 //!
 //! The 2-bit layout degrades on exception-dense chunks: every soft-masked
 //! or degenerate byte costs a 5-byte host exception, and a single
 //! degenerate exception forces the comparers back onto the char kernel.
-//! [`ChunkEncoding::Adaptive`] therefore inspects each chunk as it is
-//! encoded and switches to the 4-bit nibble layout
+//! The default, [`ChunkEncoding::Adaptive`], therefore inspects each chunk
+//! as it is encoded and switches to the 4-bit nibble layout
 //! ([`genome::fourbit::NibbleSeq`], 0.5 B/base on device, never any
 //! fallback) whenever the 2-bit form would be unsafe to compare or would
 //! out-weigh the nibbles on the host.

@@ -41,6 +41,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+use cas_offinder::kernels::{comparer_name, Encoding, PatternForm, FINDER_NAMES};
 use cas_offinder::pipeline::chunk::{ChunkPayload, ChunkRunner};
 use cas_offinder::pipeline::PipelineConfig;
 use cas_offinder::{Api, OptLevel, Query, TimingBreakdown};
@@ -182,9 +183,8 @@ fn probe(
         .expect("simulated probe launch cannot fail");
     let elapsed_s = runner.elapsed_s() - before;
     tables.release();
-    let kernel_s = |names: &[&str]| {
+    let kernel_s = |names: &mut dyn Iterator<Item = &str>| {
         names
-            .iter()
             .filter_map(|n| profile.kernel(n))
             .map(|s| s.total_s)
             .sum::<f64>()
@@ -193,28 +193,17 @@ fn probe(
     // sums stay correct whichever flavour the runner launched.
     ProbeRun {
         elapsed_s,
-        finder_s: kernel_s(&[
-            "finder",
-            "finder_packed",
-            "finder_nibble",
-            "finder_nibble-spec",
-        ]),
-        comparer_s: kernel_s(&[
-            "comparer",
-            "comparer-2bit",
-            "comparer-4bit",
-            "comparer-spec",
-            "comparer-2bit-spec",
-            "comparer-4bit-spec",
-            "comparer_multi",
-            "comparer_multi-2bit",
-            "comparer_multi-4bit",
-            "comparer_multi-spec",
-            "comparer_multi-2bit-spec",
-            "comparer_multi-4bit-spec",
-        ]),
+        finder_s: kernel_s(&mut FINDER_NAMES.into_iter()),
+        comparer_s: kernel_s(&mut comparer_names()),
         candidates: timing.candidates as usize,
     }
+}
+
+/// Every comparer's profiler name: each encoding in each pattern form.
+fn comparer_names() -> impl Iterator<Item = &'static str> {
+    PatternForm::ALL
+        .into_iter()
+        .flat_map(|form| Encoding::ALL.map(|encoding| comparer_name(encoding, form)))
 }
 
 /// Decompose two-query/four-query/resident-hit probes through the fused
@@ -419,6 +408,70 @@ mod tests {
     use super::*;
 
     const PROBE_CHUNK: usize = 1 << 13;
+
+    #[test]
+    fn calibration_sums_every_kernel_a_runner_launches() {
+        let summed: Vec<&str> = FINDER_NAMES.into_iter().chain(comparer_names()).collect();
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let scan = 512;
+        let mut seq: Vec<u8> = (0..scan + PROBE_PATTERN.len())
+            .map(|_| *rng.choose(b"ACGT").unwrap())
+            .collect();
+        let safe = ChunkPayload::Packed(PackedSeq::encode(&seq));
+        seq[100] = b'R'; // a degenerate exception: the decoded char route
+        let payloads = [
+            ChunkPayload::Raw(seq.clone()),
+            safe,
+            ChunkPayload::Packed(PackedSeq::encode(&seq)),
+            ChunkPayload::Nibble(NibbleSeq::encode(&seq)),
+        ];
+        let guide = |at: usize| [&seq[at..at + 8], b"NNN"].concat();
+        let queries = [Query::new(guide(40), 3), Query::new(guide(90), 3)];
+        let mut launched = std::collections::BTreeSet::new();
+        for api in [Api::OpenCl, Api::Sycl] {
+            for (specialize, multi_guide) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let config = PipelineConfig::new(DeviceSpec::mi60())
+                    .chunk_size(scan)
+                    .exec_mode(ExecMode::Sequential)
+                    .specialize(specialize)
+                    .multi_guide(multi_guide);
+                let runner = ChunkRunner::new(api, &config, PROBE_PATTERN).unwrap();
+                for payload in &payloads {
+                    for k in [1, 2] {
+                        let tables = runner.prepare(&queries[..k]).unwrap();
+                        let mut timing = TimingBreakdown::default();
+                        let mut profile = Profile::new();
+                        runner
+                            .run(
+                                None,
+                                payload,
+                                scan,
+                                None,
+                                &tables,
+                                &mut timing,
+                                &mut profile,
+                            )
+                            .unwrap();
+                        tables.release();
+                        launched.extend(profile.hotspots().into_iter().map(|(n, _)| n.to_owned()));
+                    }
+                }
+                runner.release();
+            }
+        }
+        for name in &launched {
+            assert!(
+                summed.contains(&name.as_str()),
+                "{name} is launched but not summed"
+            );
+        }
+        assert!(
+            FINDER_NAMES.iter().all(|n| launched.contains(*n)),
+            "every finder ran"
+        );
+    }
 
     #[test]
     fn measured_rates_are_positive_and_finite() {

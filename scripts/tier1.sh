@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, full test suite, lints, and a smoke run of
-# the paper reproduction — everything offline (the workspace is std-only).
+# Tier-1 verification: build, full test suite, lints, rustdoc, and a smoke
+# run of the paper reproduction — everything offline (the workspace is
+# std-only).
 #
 #   scripts/tier1.sh
 set -euo pipefail
@@ -14,6 +15,9 @@ cargo test -q --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== perfbench: build against the public chunk-runner API + its tests =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
