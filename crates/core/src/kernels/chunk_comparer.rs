@@ -454,6 +454,10 @@ impl<R: ChunkReader, P: PatternSource> ChunkComparer<R, P> {
     }
 }
 
+/// Longest candidate window a fused comparer keeps on the stack; longer
+/// patterns fall back to a heap buffer.
+const STACK_WINDOW: usize = 64;
+
 impl<R: ChunkReader, P: PatternSource> KernelProgram for ChunkComparer<R, P> {
     type Private = ();
 
@@ -486,23 +490,36 @@ impl<R: ChunkReader, P: PatternSource> KernelProgram for ChunkComparer<R, P> {
         let locus = self.sites.loci.load(item, i) as usize;
         // A guide block loads the candidate window once and shares it with
         // every guide and strand. The finder only emits loci with a full
-        // `plen` window, so the reads are in bounds.
-        let mut window = Vec::new();
-        if P::WINDOWED {
+        // `plen` window, so the reads are in bounds. Windows up to
+        // `STACK_WINDOW` bases stay on the stack.
+        let mut stack = [0u8; STACK_WINDOW];
+        let mut heap = Vec::new();
+        let window: &[u8] = if P::WINDOWED {
             let plen = self.pattern.plen();
+            let window = if plen <= STACK_WINDOW {
+                &mut stack[..plen]
+            } else {
+                heap.resize(plen, 0);
+                &mut heap[..]
+            };
             let mut cursor = R::FRESH;
-            window.extend((0..plen).map(|k| self.reader.read(item, &mut cursor, locus + k)));
+            for (k, b) in window.iter_mut().enumerate() {
+                *b = self.reader.read(item, &mut cursor, locus + k);
+            }
             item.ops(plen as u64 * R::WINDOW_OPS);
-        }
+            window
+        } else {
+            &[]
+        };
         for g in 0..self.pattern.guides() {
             let threshold = self.pattern.threshold(item, local, g);
             item.ops(2);
             if flag == FLAG_BOTH || flag == FLAG_FORWARD {
-                self.compare_strand(item, local, &window, locus, g * 2, threshold);
+                self.compare_strand(item, local, window, locus, g * 2, threshold);
             }
             item.ops(2);
             if flag == FLAG_BOTH || flag == FLAG_REVERSE {
-                self.compare_strand(item, local, &window, locus, g * 2 + 1, threshold);
+                self.compare_strand(item, local, window, locus, g * 2 + 1, threshold);
             }
         }
     }

@@ -30,6 +30,10 @@ pub const IUPAC_CODES: [u8; 15] = [
 /// `T`). Unknown characters map to the empty set, which never matches and is
 /// never matched.
 ///
+/// A single load from a 256-entry table that the compiler fills from the
+/// one-arm-per-code definition; every reader, both finders and the CPU
+/// oracle go through it.
+///
 /// # Examples
 ///
 /// ```
@@ -40,8 +44,25 @@ pub const IUPAC_CODES: [u8; 15] = [
 /// assert_eq!(base_mask(b'n'), MASK_ANY);
 /// assert_eq!(base_mask(b'X'), 0);
 /// ```
-#[inline]
+#[inline(always)]
 pub const fn base_mask(c: u8) -> BaseMask {
+    MASKS[c as usize]
+}
+
+/// [`base_mask`] for every byte value.
+const MASKS: [BaseMask; 256] = {
+    let mut table = [0; 256];
+    let mut c = 0;
+    while c < 256 {
+        table[c] = iupac_mask(c as u8);
+        c += 1;
+    }
+    table
+};
+
+/// The definition of [`base_mask`], one arm per IUPAC code; evaluated once
+/// per byte value at compile time to fill its table.
+const fn iupac_mask(c: u8) -> BaseMask {
     match c {
         b'A' | b'a' => 0b0001,
         b'C' | b'c' => 0b0010,
@@ -75,7 +96,7 @@ pub const fn base_mask(c: u8) -> BaseMask {
 /// assert!(matches(b'N', b'N'));
 /// assert!(!matches(b'R', b'N'), "masked genome base is not a purine match");
 /// ```
-#[inline]
+#[inline(always)]
 pub const fn matches(pattern: u8, genome: u8) -> bool {
     let g = base_mask(genome);
     let p = base_mask(pattern);
@@ -85,7 +106,7 @@ pub const fn matches(pattern: u8, genome: u8) -> bool {
 /// True when comparing `genome` against `pattern` counts as a mismatch —
 /// the negation of [`matches()`](fn@matches), i.e. the condition of the comparer kernel's
 /// ladder (Listing 1, L14/L31).
-#[inline]
+#[inline(always)]
 pub const fn is_mismatch(pattern: u8, genome: u8) -> bool {
     !matches(pattern, genome)
 }
@@ -276,6 +297,26 @@ mod tests {
         assert!(is_iupac(b'N') && is_iupac(b'r'));
         assert!(!is_iupac(b'X'));
         assert_eq!(to_upper(b'g'), b'G');
+    }
+
+    #[test]
+    fn table_agrees_with_the_match_definition_on_every_byte() {
+        for c in 0..=u8::MAX {
+            assert_eq!(base_mask(c), iupac_mask(c), "byte {c}");
+        }
+    }
+
+    #[test]
+    fn matching_follows_the_subset_rule_on_every_byte_pair() {
+        for p in 0..=u8::MAX {
+            let pm = iupac_mask(p);
+            for g in 0..=u8::MAX {
+                let gm = iupac_mask(g);
+                let subset = gm != 0 && gm & !pm == 0;
+                assert_eq!(matches(p, g), subset, "pattern {p} vs genome {g}");
+                assert_eq!(is_mismatch(p, g), !subset, "pattern {p} vs genome {g}");
+            }
+        }
     }
 
     #[test]

@@ -117,15 +117,13 @@ fn run_group<K: KernelProgram>(
     for phase in 0..phases {
         let mut wave_max = 0.0f64;
         let mut wave_serialized = 0.0f64;
+        // Local ids advance dimension 0 fastest, as `li` does.
+        let mut local_id = [0usize; 3];
         for (li, private) in privates.iter_mut().enumerate() {
-            let lx = li % l0;
-            let ly = (li / l0) % l1;
-            let lz = li / (l0 * l1);
-            let local_id = [lx, ly, lz];
             let global_id = [
-                gx * l0 + lx,
-                gy * l1 + ly,
-                gz * nd.local(2) + lz,
+                gx * l0 + local_id[0],
+                gy * l1 + local_id[1],
+                gz * nd.local(2) + local_id[2],
             ];
             let mut item = ItemCtx::new(global_id, local_id, group_id, global_range, local_range);
             if phase > 0 {
@@ -142,6 +140,16 @@ fn run_group<K: KernelProgram>(
                 wave_cycles += wave_max + wave_serialized;
                 wave_max = 0.0;
                 wave_serialized = 0.0;
+            }
+
+            local_id[0] += 1;
+            if local_id[0] == l0 {
+                local_id[0] = 0;
+                local_id[1] += 1;
+                if local_id[1] == l1 {
+                    local_id[1] = 0;
+                    local_id[2] += 1;
+                }
             }
         }
     }
@@ -167,7 +175,7 @@ pub(crate) fn run_launch<K: KernelProgram>(
         });
     }
 
-    let mut resources = isa::compile(&kernel.code_model());
+    let mut resources = isa::compile_cached(&kernel.code_model());
     resources.lds_bytes = layout.total_bytes();
     let occ = occupancy(&resources, &nd, spec);
     let cost = CostModel::new(spec);

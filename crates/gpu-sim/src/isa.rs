@@ -29,7 +29,9 @@
 //! *predictive* for every other kernel in the workspace (the finder, the
 //! 2-bit variants, ...).
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// How a kernel stages data from global memory into shared local memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -652,6 +654,31 @@ const UNROLL: u32 = 2;
 /// numbers). Equivalent to `compile_program(model).resources()`.
 pub fn compile(model: &CodeModel) -> ResourceUsage {
     compile_program(model).resources()
+}
+
+/// [`compile`], run once per distinct model for the life of the process.
+///
+/// Every launch prices its kernel through here. A model is fixed by the
+/// kernel's name and structure (for the serving kernels: name × pattern
+/// length), so the memo holds one entry per kernel shape and does not grow
+/// with traffic.
+pub fn compile_cached(model: &CodeModel) -> ResourceUsage {
+    static MEMO: OnceLock<RwLock<HashMap<CodeModel, ResourceUsage>>> = OnceLock::new();
+    let memo = MEMO.get_or_init(Default::default);
+    // Entries are inserted whole, so a memo poisoned by a panicking
+    // thread still holds only complete, correct entries.
+    let cached = memo
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(model)
+        .copied();
+    cached.unwrap_or_else(|| {
+        let resources = compile(model);
+        memo.write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(model.clone(), resources);
+        resources
+    })
 }
 
 /// A generic fallback model for kernels that do not describe themselves:

@@ -7,7 +7,6 @@
 //! impossible by construction, and cross-phase visibility is exactly the
 //! barrier guarantee of §II.B of the paper.
 
-use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -52,7 +51,14 @@ impl<T> LocalHandle<T> {
     }
 }
 
-type SlotCtor = Box<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>;
+/// One declared array: its element type's [`Scalar::TAG`] and its words in
+/// the group's storage.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u8,
+    start: usize,
+    len: usize,
+}
 
 /// Declaration of the shared-local-memory arrays a kernel needs per group.
 ///
@@ -68,19 +74,11 @@ type SlotCtor = Box<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>;
 /// assert_eq!(layout.total_bytes(), 46 + 46 * 4);
 /// # let _ = idx;
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct LocalLayout {
-    ctors: Vec<SlotCtor>,
+    slots: Vec<Slot>,
+    words: usize,
     bytes: u64,
-}
-
-impl fmt::Debug for LocalLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LocalLayout")
-            .field("slots", &self.ctors.len())
-            .field("bytes", &self.bytes)
-            .finish()
-    }
 }
 
 impl LocalLayout {
@@ -91,9 +89,13 @@ impl LocalLayout {
 
     /// Declare a local array of `len` elements of `T`, returning its handle.
     pub fn array<T: Scalar>(&mut self, len: usize) -> LocalHandle<T> {
-        let slot = self.ctors.len();
-        self.ctors
-            .push(Box::new(move || Box::new(vec![T::default(); len]) as _));
+        let slot = self.slots.len();
+        self.slots.push(Slot {
+            tag: T::TAG,
+            start: self.words,
+            len,
+        });
+        self.words += len;
         self.bytes += len as u64 * T::BYTES;
         LocalHandle {
             slot,
@@ -109,12 +111,13 @@ impl LocalLayout {
 
     /// Number of declared arrays.
     pub fn slots(&self) -> usize {
-        self.ctors.len()
+        self.slots.len()
     }
 
     pub(crate) fn instantiate(&self) -> LocalMem {
         LocalMem {
-            slots: self.ctors.iter().map(|c| c()).collect(),
+            slots: self.slots.clone(),
+            words: vec![0; self.words],
         }
     }
 }
@@ -123,9 +126,12 @@ impl LocalLayout {
 ///
 /// Access is typed through the [`LocalHandle`]s produced by the layout that
 /// created this memory; every access is counted against the issuing
-/// work-item.
+/// work-item. Each element is held as its bit pattern in one 64-bit word,
+/// and each array remembers its element type, so a handle of another type
+/// is caught without dynamic dispatch.
 pub struct LocalMem {
-    slots: Vec<Box<dyn Any + Send>>,
+    slots: Vec<Slot>,
+    words: Vec<u64>,
 }
 
 impl fmt::Debug for LocalMem {
@@ -137,18 +143,20 @@ impl fmt::Debug for LocalMem {
 }
 
 impl LocalMem {
-    fn slice<T: Scalar>(&self, h: LocalHandle<T>) -> &Vec<T> {
-        self.slots
-            .get(h.slot)
-            .and_then(|s| s.downcast_ref::<Vec<T>>())
-            .expect("local handle does not belong to this kernel's layout")
-    }
-
-    fn slice_mut<T: Scalar>(&mut self, h: LocalHandle<T>) -> &mut Vec<T> {
-        self.slots
-            .get_mut(h.slot)
-            .and_then(|s| s.downcast_mut::<Vec<T>>())
-            .expect("local handle does not belong to this kernel's layout")
+    /// The word of element `i` of `h`'s array.
+    #[inline(always)]
+    fn word<T: Scalar>(&self, h: LocalHandle<T>, i: usize) -> usize {
+        match self.slots.get(h.slot) {
+            Some(s) if s.tag == T::TAG => {
+                assert!(
+                    i < s.len,
+                    "index out of bounds: the len is {} but the index is {i}",
+                    s.len
+                );
+                s.start + i
+            }
+            _ => panic!("local handle does not belong to this kernel's layout"),
+        }
     }
 
     /// Load element `i` of the local array `h`, counted against `item`.
@@ -160,7 +168,7 @@ impl LocalMem {
     #[inline]
     pub fn load<T: Scalar>(&self, item: &mut ItemCtx, h: LocalHandle<T>, i: usize) -> T {
         item.count_local_load();
-        self.slice(h)[i]
+        T::from_bits(self.words[self.word(h, i)])
     }
 
     /// Store `v` to element `i` of the local array `h`.
@@ -172,7 +180,8 @@ impl LocalMem {
     #[inline]
     pub fn store<T: Scalar>(&mut self, item: &mut ItemCtx, h: LocalHandle<T>, i: usize, v: T) {
         item.count_local_store();
-        self.slice_mut(h)[i] = v;
+        let w = self.word(h, i);
+        self.words[w] = v.to_bits();
     }
 }
 
@@ -235,6 +244,33 @@ mod tests {
         let mut it = item();
         // Slot 0 exists but holds u8s, not i32s.
         mem.load(&mut it, h_i32, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn same_width_handle_of_another_type_panics() {
+        let mut layout = LocalLayout::new();
+        let _a = layout.array::<u8>(4);
+        let h_i8 = LocalLayout::new().array::<i8>(4);
+        let mem = layout.instantiate();
+        // Slot 0 holds u8s; an i8 handle must not read them.
+        mem.load(&mut item(), h_i8, 0);
+    }
+
+    #[test]
+    fn bit_patterns_roundtrip_for_signed_and_float_elements() {
+        let mut layout = LocalLayout::new();
+        let a = layout.array::<i8>(1);
+        let b = layout.array::<f32>(1);
+        let c = layout.array::<i64>(1);
+        let mut mem = layout.instantiate();
+        let mut it = item();
+        mem.store(&mut it, a, 0, -5i8);
+        mem.store(&mut it, b, 0, -1.5f32);
+        mem.store(&mut it, c, 0, i64::MIN);
+        assert_eq!(mem.load(&mut it, a, 0), -5);
+        assert_eq!(mem.load(&mut it, b, 0), -1.5);
+        assert_eq!(mem.load(&mut it, c, 0), i64::MIN);
     }
 
     #[test]

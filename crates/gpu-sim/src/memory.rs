@@ -22,6 +22,10 @@ use crate::traffic::TrafficCounters;
 pub trait Scalar: private::Sealed + Copy + Send + Sync + Default + fmt::Debug + 'static {
     /// Size of the element in bytes.
     const BYTES: u64;
+    /// A tag distinct for every element type; local memory marks each
+    /// array with it to reject handles of another type.
+    #[doc(hidden)]
+    const TAG: u8;
     /// The element's bit pattern, widened to 64 bits.
     #[doc(hidden)]
     fn to_bits(self) -> u64;
@@ -47,10 +51,11 @@ mod private {
 }
 
 macro_rules! impl_int_scalar {
-    ($($t:ty),*) => {$(
+    ($($t:ty = $tag:literal),*) => {$(
         impl private::Sealed for $t {}
         impl Scalar for $t {
             const BYTES: u64 = std::mem::size_of::<$t>() as u64;
+            const TAG: u8 = $tag;
             fn to_bits(self) -> u64 {
                 self as u64
             }
@@ -74,12 +79,22 @@ macro_rules! impl_atomic_scalar {
     )*};
 }
 
-impl_int_scalar!(u8, i8, u16, i16, u32, i32, u64, i64);
+impl_int_scalar!(
+    u8 = 0,
+    i8 = 1,
+    u16 = 2,
+    i16 = 3,
+    u32 = 4,
+    i32 = 5,
+    u64 = 6,
+    i64 = 7
+);
 impl_atomic_scalar!(u8, i8, u16, i16, u32, i32, u64, i64);
 
 impl private::Sealed for f32 {}
 impl Scalar for f32 {
     const BYTES: u64 = 4;
+    const TAG: u8 = 8;
     fn to_bits(self) -> u64 {
         f32::to_bits(self) as u64
     }
@@ -91,6 +106,7 @@ impl Scalar for f32 {
 impl private::Sealed for f64 {}
 impl Scalar for f64 {
     const BYTES: u64 = 8;
+    const TAG: u8 = 9;
     fn to_bits(self) -> u64 {
         f64::to_bits(self)
     }
@@ -452,6 +468,25 @@ mod tests {
 
     fn alloc<T: Scalar>(cap: u64, len: usize, space: AddressSpace) -> SimResult<DeviceBuffer<T>> {
         DeviceBuffer::allocate(tracker(cap), Arc::default(), len, space)
+    }
+
+    #[test]
+    fn scalar_tags_are_distinct() {
+        let tags = [
+            u8::TAG,
+            i8::TAG,
+            u16::TAG,
+            i16::TAG,
+            u32::TAG,
+            i32::TAG,
+            u64::TAG,
+            i64::TAG,
+            f32::TAG,
+            f64::TAG,
+        ];
+        for (i, a) in tags.iter().enumerate() {
+            assert!(!tags[i + 1..].contains(a), "tag {a} is shared");
+        }
     }
 
     fn item() -> ItemCtx {

@@ -90,20 +90,24 @@ impl Profile {
         self.record_ref(&report);
     }
 
-    /// Record a launch by reference.
+    /// Record a launch by reference. The kernel's name is copied only on
+    /// its first launch.
     pub fn record_ref(&mut self, report: &LaunchReport) {
-        let stats = self
-            .kernels
-            .entry(report.kernel.clone())
-            .or_insert(KernelStats {
-                calls: 0,
-                total_s: 0.0,
-                min_s: f64::INFINITY,
-                max_s: 0.0,
-                items: 0,
-                counters: AccessCounters::ZERO,
-                occupancy: 0,
-            });
+        let stats = match self.kernels.get_mut(&report.kernel) {
+            Some(stats) => stats,
+            None => self
+                .kernels
+                .entry(report.kernel.clone())
+                .or_insert(KernelStats {
+                    calls: 0,
+                    total_s: 0.0,
+                    min_s: f64::INFINITY,
+                    max_s: 0.0,
+                    items: 0,
+                    counters: AccessCounters::ZERO,
+                    occupancy: 0,
+                }),
+        };
         stats.calls += 1;
         stats.total_s += report.exec_time_s;
         stats.min_s = stats.min_s.min(report.exec_time_s);
@@ -231,6 +235,25 @@ mod tests {
         assert!(text.contains("kernel"));
         assert!(text.contains("hot"));
         assert!(text.lines().count() >= 3);
+    }
+
+    #[test]
+    fn repeated_records_aggregate_like_one_launch_each() {
+        let device = Device::new(DeviceSpec::mi100());
+        let report = device
+            .launch(&Busy("hot", 50), NdRange::linear(512, 64))
+            .unwrap();
+        let mut p = Profile::new();
+        for _ in 0..5 {
+            p.record_ref(&report);
+        }
+        let hot = p.kernel("hot").unwrap();
+        assert_eq!(hot.calls, 5);
+        assert_eq!(hot.total_s, (0..5).fold(0.0, |t, _| t + report.exec_time_s));
+        assert_eq!(hot.min_s, report.exec_time_s);
+        assert_eq!(hot.max_s, report.exec_time_s);
+        assert_eq!(hot.items, 5 * 512);
+        assert_eq!(hot.counters.arith_ops, 5 * report.counters.arith_ops);
     }
 
     #[test]

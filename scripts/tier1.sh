@@ -108,4 +108,7 @@ cargo bench -q -p casoff-bench --bench serve_library
 echo "== bench: trace generator, window ring, autoscale controller =="
 cargo bench -q -p casoff-bench --bench serve_trace
 
+echo "== bench: comparer host time per work-item (report only) =="
+cargo bench -q -p casoff-bench --bench comparer
+
 echo "== tier-1 OK =="
